@@ -19,7 +19,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conditions import build_report, report_to_text
-from .core import ChannelSet, GameConfig, GameError, price_of_anarchy, sum_rate
+from .core import (
+    ChannelSet,
+    GameConfig,
+    GameError,
+    RegimeError,
+    price_of_anarchy,
+    sum_rate,
+)
 from .experiment import (
     ChannelGenSpec,
     UncertaintySpec,
@@ -39,12 +46,17 @@ from .solver import (
     write_trajectory_csv,
 )
 from .twouser import AntiSymSystem, antisym_channels, antisym_config, interior_p
-from .core import RegimeError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_CONDITION = 3
+
+# Every grid point is a full solve (two-user adds a brute-force optimum;
+# experiment runs a whole Monte-Carlo batch), so no usable sweep comes near
+# this; the cap turns a mistyped step into an input error before a list of
+# that size is built.
+GRID_POINT_CAP = 10_000
 
 
 class ConfigError(GameError):
@@ -77,6 +89,16 @@ def _parse_float(token, what, where):
         return float(token)
     except ValueError:
         raise ConfigError(f"{where}: {what} value {token!r} is not a number")
+
+
+def _parse_int(token, what, where, minimum=0):
+    """Integral value at least minimum; 1e3 is accepted, 2.7 is not."""
+    value = _parse_float(token, what, where)
+    if not value.is_integer():
+        raise ConfigError(f"{where}: {what} value {token!r} is not an integer")
+    if value < minimum:
+        raise ConfigError(f"{where}: {what} must be at least {minimum}, got {token!r}")
+    return int(value)
 
 
 def parse_config(path) -> RunConfig:
@@ -127,9 +149,9 @@ def _parse_channels(path, entries):
         where = f"{path}:{lineno}"
         key = tokens[0].lower()
         if key == "q" and len(tokens) == 2:
-            Q = int(_parse_float(tokens[1], "Q", where))
+            Q = _parse_int(tokens[1], "Q", where, minimum=1)
         elif key == "n" and len(tokens) == 2:
-            N = int(_parse_float(tokens[1], "N", where))
+            N = _parse_int(tokens[1], "N", where, minimum=1)
         elif key == "f" and len(tokens) == 5:
             f_rows.append((lineno, tokens[1:]))
         elif key == "sigma2" and len(tokens) == 4:
@@ -169,15 +191,15 @@ def _parse_channels(path, entries):
 def _parse_generate(path, entries):
     fields = {}
     keys = {
-        "users": int, "freqs": int, "cross_variance": float,
-        "direct_variance": float, "noise_power": float, "seed": int,
+        "users": _parse_int, "freqs": _parse_int, "cross_variance": _parse_float,
+        "direct_variance": _parse_float, "noise_power": _parse_float, "seed": _parse_int,
     }
     for lineno, tokens in entries:
         where = f"{path}:{lineno}"
         if len(tokens) != 2 or tokens[0].lower() not in keys:
             raise ConfigError(f"{where}: unrecognized generate entry {' '.join(tokens)!r}")
         key = tokens[0].lower()
-        fields[key] = keys[key](_parse_float(tokens[1], key, where))
+        fields[key] = keys[key](tokens[1], key, where)
     if "users" not in fields or "freqs" not in fields:
         raise ConfigError(f"{path}: [generate] must declare users and freqs")
     try:
@@ -231,15 +253,15 @@ def _parse_solver(path, entries):
         if key == "schedule":
             sched["kind"] = val
         elif key == "seed":
-            sched["seed"] = int(_parse_float(val, key, where))
+            sched["seed"] = _parse_int(val, key, where)
         elif key == "update_probability":
             sched["update_probability"] = _parse_float(val, key, where)
         elif key == "max_staleness":
-            sched["max_staleness"] = int(_parse_float(val, key, where))
+            sched["max_staleness"] = _parse_int(val, key, where)
         elif key == "tol":
             opts["tol"] = _parse_float(val, key, where)
         elif key == "max_iters":
-            opts["max_iters"] = int(_parse_float(val, key, where))
+            opts["max_iters"] = _parse_int(val, key, where)
         else:
             raise ConfigError(f"{where}: unrecognized solver entry {key!r}")
     try:
@@ -301,11 +323,15 @@ def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must be start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_parse_float(p, "grid", f"grid {text!r}") for p in parts)
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ConfigError(f"grid {text!r} must have finite start, stop and step")
     if step <= 0 or stop < start:
         raise ConfigError(f"grid {text!r} must have step > 0 and stop >= start")
-    count = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step  # inf when a tiny step overflows it; checked before int()
+    if not span + 1 <= GRID_POINT_CAP:
+        raise ConfigError(f"grid {text!r} has more than {GRID_POINT_CAP} points")
+    return [start + i * step for i in range(int(round(span)) + 1)]
 
 
 def cmd_two_user(args) -> int:
@@ -431,13 +457,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except GameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (GameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

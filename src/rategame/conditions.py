@@ -1,9 +1,13 @@
 """Uniqueness/convergence condition matrices and contraction diagnostics.
 
-The waterfilling map is a block contraction whenever the spectral radius of
-the worst-case coupling matrix S^max stays below 1 - rho(E), where E carries
-the uncertainty bounds. Entry (q, r) of either matrix is the influence of
-user r on user q.
+The robust game has a unique equilibrium, to which every waterfilling
+schedule converges, whenever rho(S^max) < 1 - rho(E): S^max is the
+worst-case cross-coupling over the bins two users can share and E carries
+the uncertainty bounds (Scutari, Palomar & Barbarossa, IEEE Trans. IT
+54(7), 2008). Entry (q, r) of either matrix is the influence of user r on
+user q. Spectral radii and the Perron direction come from LAPACK
+(numpy.linalg.eigvals / eig); the empirical check measures the contraction
+of the same best-response map the solver iterates.
 """
 
 from __future__ import annotations
@@ -13,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChannelSet, DomainError, GameConfig, StructuralError, check_dims
-from .waterfill import random_feasible_profile, waterfill_powers
-
-POWER_ITER_TOL = 1e-12
-POWER_ITER_CAP = 100_000
-POWER_ITER_SHIFT = 1e-12
+from .waterfill import best_responses, random_feasible_profile, waterfill_powers
 
 
 @dataclass(frozen=True)
@@ -92,67 +92,13 @@ def full_bin_sets(ch: ChannelSet):
     return [np.arange(ch.N) for _ in range(ch.Q)]
 
 
-def _char_poly_radius(M: np.ndarray) -> float:
-    n = M.shape[0]
-    if n == 1:
-        return float(abs(M[0, 0]))
-    if n == 2:
-        tr = M[0, 0] + M[1, 1]
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        disc = tr * tr - 4 * det  # >= 0 for nonnegative M
-        s = np.sqrt(max(disc, 0.0))
-        return float(max(abs((tr + s) / 2), abs((tr - s) / 2)))
-    # n == 3: coefficients from the trace identities
-    tr = np.trace(M)
-    tr2 = np.trace(M @ M)
-    c2 = -tr
-    c1 = 0.5 * (tr * tr - tr2)
-    c0 = -np.linalg.det(M)
-    roots = np.roots([1.0, c2, c1, c0])
-    return float(np.max(np.abs(roots)))
-
-
 def spectral_radius(M) -> float:
-    """Spectral radius of a nonnegative matrix.
-
-    Power iteration on M + shift*I with Collatz bounds; falls back to the
-    characteristic polynomial for Q <= 3 (cyclic patterns stall the
-    iteration) and to dense eigenvalues above that.
-    """
+    """Spectral radius of a nonnegative matrix: the largest eigenvalue modulus."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise StructuralError("matrix must be square")
     if not np.all(np.isfinite(M)) or np.any(M < 0):
         raise DomainError("matrix must be nonnegative and finite")
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0])
-
-    shift = POWER_ITER_SHIFT
-    v = np.full(n, 1.0 / np.sqrt(n))
-    best_width = np.inf
-    since_improved = 0
-    for _ in range(POWER_ITER_CAP):
-        raw = M @ v
-        # Collatz bounds from the unshifted ratios; the shift only steers the
-        # iteration (subtracting it back from a shifted estimate costs an ulp)
-        ratios = raw / v  # v stays positive throughout
-        hi, lo = float(ratios.max()), float(ratios.min())
-        width = hi - lo
-        if width <= POWER_ITER_TOL * max(1.0, hi):
-            return max(0.5 * (hi + lo), 0.0)
-        # cyclic matrices never tighten the Collatz interval; bail early
-        if width < 0.999 * best_width:
-            best_width = width
-            since_improved = 0
-        else:
-            since_improved += 1
-            if since_improved >= 500:
-                break
-        w = raw + shift * v
-        v = w / np.linalg.norm(w)
-    if n <= 3:
-        return _char_poly_radius(M)
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
@@ -168,23 +114,16 @@ def contraction_modulus(Smax, E, w) -> float:
 def perron_weights(M) -> np.ndarray:
     """Positive right eigenvector of a nonnegative matrix (Perron direction).
 
-    Iterates on M + I so the dominant eigenvalue is simple; returns the
-    all-ones vector when the matrix is reducible enough to yield zeros.
+    Taken from the eigenvalue with the largest real part, which is the Perron
+    root, and scaled to a largest entry of 1; returns the all-ones vector when
+    the matrix is reducible enough to yield zero entries.
     """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(10_000):
-        w = M @ v + v
-        nw = np.linalg.norm(w)
-        w /= nw
-        if np.linalg.norm(w - v) <= 1e-14:
-            v = w
-            break
-        v = w
+    vals, vecs = np.linalg.eig(np.asarray(M, dtype=float))
+    v = vecs[:, np.argmax(vals.real)].real
+    v = v / v[np.argmax(np.abs(v))]
     if np.any(v <= 1e-12):
-        return np.ones(n)
-    return v / v.max()
+        return np.ones(v.shape[0])
+    return v
 
 
 def build_report(
@@ -252,25 +191,10 @@ def empirical_contraction_check(
         den = block_norm(p1 - p2, w)
         if den == 0.0:
             continue
-        wf1 = np.empty_like(p1)
-        wf2 = np.empty_like(p2)
-        for q in range(cfg.Q):
-            wf1[q], _ = waterfill_powers(
-                _phi(ch, cfg, p1, q), cfg.P[q], cfg.pmax[q]
-            )
-            wf2[q], _ = waterfill_powers(
-                _phi(ch, cfg, p2, q), cfg.P[q], cfg.pmax[q]
-            )
+        wf1, _ = best_responses(ch, cfg, p1)
+        wf2, _ = best_responses(ch, cfg, p2)
         worst = max(worst, block_norm(wf1 - wf2, w) / den)
     return worst
-
-
-def _phi(ch, cfg, p, q):
-    phi = ch.sigma2[q] + np.einsum("rk,rk->k", ch.F[:, q, :], p)
-    if cfg.eps[q] > 0:
-        sq = (p * p).sum(axis=0) - p[q] * p[q]
-        phi = phi + cfg.eps[q] * np.sqrt(np.maximum(sq, 0.0))
-    return phi
 
 
 def report_to_text(report: ConditionReport) -> str:

@@ -189,31 +189,37 @@ def assert_feasible(cfg: GameConfig, profile: PowerProfile):
         )
 
 
-def interferer_norms(p: np.ndarray, q: int) -> np.ndarray:
-    """Per-frequency Euclidean norm of the other users' powers, sqrt(sum_{r != q} p_r(k)^2)."""
-    sq = (p * p).sum(axis=0) - p[q] * p[q]
-    return np.sqrt(np.maximum(sq, 0.0))
+def interference_level(F, sigma2, eps_q: float, p, q: int) -> np.ndarray:
+    """Worst-case noise-plus-interference seen by user q, on raw arrays.
+
+    Phi_q(k) = sigma_q^2(k) + sum_{r != q} F_rq(k) p_r(k)
+             + eps_q * sqrt(sum_{r != q} p_r(k)^2)
+
+    F is (Q, Q, N) with zero diagonal and p the full (Q, N) power matrix, so
+    only rows r != q enter; eps_q = 0 gives the nominal level. The solver,
+    the condition checks and the rate functions all compute Phi here.
+    """
+    phi = sigma2[q] + np.einsum("rk,rk->k", F[:, q, :], p)
+    if eps_q > 0:
+        sq = (p * p).sum(axis=0) - p[q] * p[q]
+        phi = phi + eps_q * np.sqrt(np.maximum(sq, 0.0))
+    return phi
 
 
-def nominal_interference(ch: ChannelSet, p: np.ndarray, q: int) -> np.ndarray:
-    """sigma_q^2(k) + sum_{r != q} F_rq(k) p_r(k); the diagonal of F is zero."""
-    return ch.sigma2[q] + np.einsum("rk,rk->k", ch.F[:, q, :], p)
+def sum_rate_array(F, sigma2, p) -> float:
+    """Nominal sum-rate in nats of the (Q, N) power matrix p, on raw arrays."""
+    total = 0.0
+    for q in range(p.shape[0]):
+        total += np.log1p(p[q] / interference_level(F, sigma2, 0.0, p, q)).sum()
+    return float(total)
 
 
 def worst_case_interference(
     ch: ChannelSet, cfg: GameConfig, profile: PowerProfile, q: int
 ) -> np.ndarray:
-    """Worst-case noise-plus-interference seen by user q on every bin.
-
-    Phi_q(k) = sigma_q^2(k) + sum_{r != q} F_rq(k) p_r(k)
-             + eps_q * sqrt(sum_{r != q} p_r(k)^2)
-    """
+    """Worst-case noise-plus-interference Phi_q(k) seen by user q on every bin."""
     check_dims(ch, cfg, profile)
-    phi = nominal_interference(ch, profile.p, q)
-    eps_q = cfg.eps[q]
-    if eps_q > 0:
-        phi = phi + eps_q * interferer_norms(profile.p, q)
-    return phi
+    return interference_level(ch.F, ch.sigma2, cfg.eps[q], profile.p, q)
 
 
 def user_rate(
@@ -225,17 +231,18 @@ def user_rate(
     evaluate the worst-case rate with that uncertainty bound instead.
     """
     check_dims(ch, profile=profile)
-    den = nominal_interference(ch, profile.p, q)
-    if eps_override is not None:
-        if eps_override < 0:
-            raise DomainError("eps_override must be nonnegative")
-        den = den + eps_override * interferer_norms(profile.p, q)
+    if eps_override is None:
+        eps_override = 0.0
+    elif not eps_override >= 0:
+        raise DomainError("eps_override must be nonnegative")
+    den = interference_level(ch.F, ch.sigma2, eps_override, profile.p, q)
     return float(np.log1p(profile.p[q] / den).sum())
 
 
 def sum_rate(ch: ChannelSet, profile: PowerProfile) -> float:
     """System sum-rate: the nominal rates of all users added up."""
-    return float(sum(user_rate(ch, profile, q) for q in range(ch.Q)))
+    check_dims(ch, profile=profile)
+    return sum_rate_array(ch.F, ch.sigma2, profile.p)
 
 
 def price_of_anarchy(s_optimal: float, s_equilibrium: float) -> float:

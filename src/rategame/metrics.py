@@ -20,6 +20,7 @@ from .core import (
     PowerProfile,
     UnsupportedArityError,
     check_dims,
+    sum_rate_array,
 )
 from .waterfill import waterfill_powers
 
@@ -129,19 +130,11 @@ def social_optimum_bruteforce(
     best = None
     for rows in itertools.product(*grids):
         p = np.stack(rows)
-        rate = _sum_rate_fast(ch, p)
+        rate = sum_rate_array(ch.F, ch.sigma2, p)
         if rate > best_rate:
             best_rate = rate
             best = p
     return float(best_rate), PowerProfile(best)
-
-
-def _sum_rate_fast(ch, p):
-    total = 0.0
-    for q in range(p.shape[0]):
-        den = ch.sigma2[q] + np.einsum("rk,rk->k", ch.F[:, q, :], p)
-        total += np.log1p(p[q] / den).sum()
-    return float(total)
 
 
 def _fdma_profile(ch, cfg, owner):
@@ -185,7 +178,7 @@ def social_optimum_fdma(ch: ChannelSet, cfg: GameConfig):
         for mask in range(2 ** N):
             owner = np.array([(mask >> k) & 1 for k in range(N)])
             p = _fdma_profile(ch, cfg, owner)
-            rate = _sum_rate_fast(ch, p)
+            rate = sum_rate_array(ch.F, ch.sigma2, p)
             if rate > best_rate:
                 best_rate = rate
                 best = p
@@ -193,7 +186,7 @@ def social_optimum_fdma(ch: ChannelSet, cfg: GameConfig):
 
     # local search: start from noise-favoring ownership, flip bins while it helps
     owner = (ch.sigma2[1] < ch.sigma2[0]).astype(int)
-    rate = _sum_rate_fast(ch, _fdma_profile(ch, cfg, owner))
+    rate = sum_rate_array(ch.F, ch.sigma2, _fdma_profile(ch, cfg, owner))
     improved = True
     sweeps = 0
     while improved and sweeps < 200:
@@ -201,7 +194,7 @@ def social_optimum_fdma(ch: ChannelSet, cfg: GameConfig):
         sweeps += 1
         for k in range(N):
             owner[k] ^= 1
-            cand = _sum_rate_fast(ch, _fdma_profile(ch, cfg, owner))
+            cand = sum_rate_array(ch.F, ch.sigma2, _fdma_profile(ch, cfg, owner))
             if cand > rate + 1e-12:
                 rate = cand
                 improved = True

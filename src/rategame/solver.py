@@ -24,7 +24,7 @@ from .core import (
     assert_feasible,
     check_dims,
 )
-from .waterfill import best_response_powers, project_to_simplex
+from .waterfill import best_response_powers, best_responses, project_to_simplex
 
 SCHEDULE_KINDS = ("jacobi", "gauss_seidel", "random_async")
 
@@ -91,22 +91,43 @@ def default_initial_profile(ch: ChannelSet, cfg: GameConfig) -> PowerProfile:
     return PowerProfile(np.stack(rows))
 
 
-def _all_best_responses(ch, cfg, p):
-    """Best-response powers and water levels of every user against frozen p."""
-    out = np.empty_like(p)
-    mus = np.empty(p.shape[0])
-    for q in range(p.shape[0]):
-        out[q], mus[q] = best_response_powers(
-            ch.F, ch.sigma2, cfg.eps[q], p, q, cfg.P[q], cfg.pmax[q]
-        )
-    return out, mus
+def _residual(ch, cfg, p):
+    """Simultaneous fixed-point residual of p and every user's water level."""
+    br, mus = best_responses(ch, cfg, p)
+    return float(np.max(np.linalg.norm(p - br, axis=1))), mus
 
 
 def fixed_point_residual(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile) -> float:
     """max over users of the Euclidean distance between p_q and its best response."""
     check_dims(ch, cfg, profile)
-    br, _ = _all_best_responses(ch, cfg, profile.p)
-    return float(np.max(np.linalg.norm(profile.p - br, axis=1)))
+    return _residual(ch, cfg, profile.p)[0]
+
+
+def _round_views(schedule, p, prev, history, rng):
+    """(user, view) pairs of one round: who updates, and against which powers.
+
+    jacobi reads the frozen round-start profile prev, gauss_seidel the live p.
+    random_async draws who updates, then an age in 0..len(history)-1 for each
+    other user's row, in that order; jacobi and gauss_seidel draw nothing.
+    """
+    Q = p.shape[0]
+    if schedule.kind != "random_async":
+        view = prev if schedule.kind == "jacobi" else p
+        for q in range(Q):
+            yield q, view
+        return
+    snapshots = list(history)  # oldest .. newest == prev
+    updating = rng.random(Q) < schedule.update_probability
+    for q in range(Q):
+        if not updating[q]:
+            continue
+        view = prev.copy()
+        for r in range(Q):
+            if r == q:
+                continue  # a user always knows its own latest powers
+            age = int(rng.integers(0, len(snapshots)))
+            view[r] = snapshots[-1 - age][r]
+        yield q, view
 
 
 def solve(
@@ -127,65 +148,37 @@ def solve(
     assert_feasible(cfg, initial)
 
     p = initial.p.copy()
-    Q = cfg.Q
     rng = np.random.default_rng(schedule.seed)
     # round-start snapshots, oldest first; only random_async reads beyond the last
     history = deque([p.copy()], maxlen=schedule.max_staleness + 1)
     trajectory = [p.copy()] if opts.record_trajectory else None
 
     converged = False
-    iterations = 0
     for rnd in range(1, opts.max_iters + 1):
         prev = p.copy()
-        if schedule.kind == "jacobi":
-            for q in range(Q):
-                p[q], _ = best_response_powers(
-                    ch.F, ch.sigma2, cfg.eps[q], prev, q, cfg.P[q], cfg.pmax[q]
-                )
-                _check_finite(p[q], q, rnd)
-        elif schedule.kind == "gauss_seidel":
-            for q in range(Q):
-                p[q], _ = best_response_powers(
-                    ch.F, ch.sigma2, cfg.eps[q], p, q, cfg.P[q], cfg.pmax[q]
-                )
-                _check_finite(p[q], q, rnd)
-        else:  # random_async
-            snapshots = list(history)  # oldest .. newest == prev
-            updating = rng.random(Q) < schedule.update_probability
-            for q in range(Q):
-                if not updating[q]:
-                    continue
-                view = prev.copy()
-                for r in range(Q):
-                    if r == q:
-                        continue  # a user always knows its own latest powers
-                    age = int(rng.integers(0, len(snapshots)))
-                    view[r] = snapshots[-1 - age][r]
-                p[q], _ = best_response_powers(
-                    ch.F, ch.sigma2, cfg.eps[q], view, q, cfg.P[q], cfg.pmax[q]
-                )
-                _check_finite(p[q], q, rnd)
+        for q, view in _round_views(schedule, p, prev, history, rng):
+            p[q], _ = best_response_powers(
+                ch.F, ch.sigma2, cfg.eps[q], view, q, cfg.P[q], cfg.pmax[q]
+            )
+            _check_finite(p[q], q, rnd)
 
-        iterations = rnd
         delta = float(np.abs(p - prev).max())
         history.append(p.copy())
         if trajectory is not None:
             trajectory.append(p.copy())
         if delta < opts.tol:
-            br, mus = _all_best_responses(ch, cfg, p)
-            residual = float(np.max(np.linalg.norm(p - br, axis=1)))
+            residual, mus = _residual(ch, cfg, p)
             if residual <= 10 * opts.tol:
                 converged = True
                 break
 
     if not converged:
-        br, mus = _all_best_responses(ch, cfg, p)
-        residual = float(np.max(np.linalg.norm(p - br, axis=1)))
+        residual, mus = _residual(ch, cfg, p)
 
     return EquilibriumResult(
         profile=PowerProfile(p),
         mu=mus,
-        iterations=iterations,
+        iterations=rnd,
         residual=residual,
         converged=converged,
         schedule=schedule,

@@ -19,6 +19,7 @@ from .core import (
     GameConfig,
     InfeasibleError,
     PowerProfile,
+    interference_level,
     worst_case_interference,
 )
 
@@ -86,11 +87,18 @@ def best_response_powers(F, sigma2, eps_q: float, p, q: int, P_q: float, pmax_q)
 
     p is the full (Q, N) power matrix; only rows r != q are read.
     """
-    phi = sigma2[q] + np.einsum("rk,rk->k", F[:, q, :], p)
-    if eps_q > 0:
-        sq = (p * p).sum(axis=0) - p[q] * p[q]
-        phi = phi + eps_q * np.sqrt(np.maximum(sq, 0.0))
-    return waterfill_powers(phi, P_q, pmax_q)
+    return waterfill_powers(interference_level(F, sigma2, eps_q, p, q), P_q, pmax_q)
+
+
+def best_responses(ch: ChannelSet, cfg: GameConfig, p):
+    """Best-response powers and water levels of every user against frozen p."""
+    out = np.empty_like(p)
+    mus = np.empty(p.shape[0])
+    for q in range(p.shape[0]):
+        out[q], mus[q] = best_response_powers(
+            ch.F, ch.sigma2, cfg.eps[q], p, q, cfg.P[q], cfg.pmax[q]
+        )
+    return out, mus
 
 
 def robust_best_response(
@@ -134,35 +142,19 @@ def _greedy_linear_max(coeff, P: float, pmax):
 
 
 def projection_residual(
-    ch: ChannelSet,
-    cfg: GameConfig,
-    profile: PowerProfile,
-    q: int,
-    candidate,
-    n_points: int = 1000,
-    seed: int = 0,
-    test_points=None,
-):
+    ch: ChannelSet, cfg: GameConfig, profile: PowerProfile, q: int, candidate
+) -> float:
     """Variational-inequality residual of candidate as the projection of -Phi_q.
 
-    Returns max_z (-Phi - candidate) . (z - candidate) over a finite set of
-    feasible test points z; the set always includes the exact maximizer of the
-    linear form, so the result is <= 0 (up to roundoff) iff candidate is the
-    projection, i.e. the robust best response.
+    Returns max_z (-Phi - candidate) . (z - candidate) over the feasible set
+    {0 <= z <= pmax, sum z = P}. The greedy fill attains that maximum exactly,
+    so the result is <= 0 (up to roundoff) iff candidate is the projection,
+    i.e. the robust best response.
     """
     phi = worst_case_interference(ch, cfg, profile, q)
     candidate = np.asarray(candidate, dtype=float)
     if candidate.shape != (ch.N,):
         raise DomainError("candidate must be a length-N vector")
     coeff = -phi - candidate
-
-    points = [_greedy_linear_max(coeff, cfg.P[q], cfg.pmax[q])]
-    if test_points is not None:
-        points.extend(np.asarray(z, dtype=float) for z in test_points)
-    else:
-        rng = np.random.default_rng(seed)
-        center = cfg.P[q] / cfg.N
-        for _ in range(n_points):
-            v = center + rng.normal(0.0, cfg.P[q], size=cfg.N)
-            points.append(project_to_simplex(v, cfg.P[q], cfg.pmax[q]))
-    return float(max(coeff @ (z - candidate) for z in points))
+    z = _greedy_linear_max(coeff, cfg.P[q], cfg.pmax[q])
+    return float(coeff @ (z - candidate))

@@ -171,3 +171,24 @@ class TestExperimentCommand:
         assert main(args + ["--out", str(out_b)]) == 0
         assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("value", ["2.7", "-2"], ids=["fractional", "negative"])
+    def test_bad_user_count_is_input_error(self, tmp_path, capsys, value):
+        path = tmp_path / "q.cfg"
+        path.write_text(f"[channels]\nQ {value}\nN 2\nsigma2 * * 1.0\n")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "q.cfg:2" in err[0]
+
+    @pytest.mark.parametrize("grid", ["0:0.1:nan", "a:b:c", "0:1:1e-9"],
+                             ids=["nan_step", "non_numeric", "tiny_step"])
+    def test_bad_grid_is_input_error(self, tmp_path, capsys, grid):
+        code = main([
+            "two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2.0",
+            "--eps-grid", grid, "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: grid ")

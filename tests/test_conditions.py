@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,16 @@ class TestNeverUsedSet:
         assert estimate_never_used_set(ch, cfg, 0).size == 0
 
 
+def _char_poly_radius(M):
+    """Largest root modulus of det(x I - M) from trace identities, n = 2 or 3."""
+    tr, det = np.trace(M), np.linalg.det(M)
+    if M.shape[0] == 2:
+        coeffs = [1.0, -tr, det]
+    else:
+        coeffs = [1.0, -tr, 0.5 * (tr * tr - np.trace(M @ M)), -det]
+    return np.max(np.abs(np.roots(coeffs)))
+
+
 class TestSpectralRadius:
     def test_cyclic_two_by_two(self):
         assert spectral_radius([[0.0, 0.3], [0.5, 0.0]]) == pytest.approx(
@@ -98,8 +110,16 @@ class TestSpectralRadius:
         for _ in range(100):
             n = int(rng.integers(2, 4))
             M = rng.uniform(0, 1, (n, n))
-            expected = np.max(np.abs(np.linalg.eigvals(M)))
+            expected = _char_poly_radius(M)
             assert spectral_radius(M) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    def test_nilpotent_is_exactly_zero(self):
+        assert spectral_radius([[0.0, 1.0], [0.0, 0.0]]) == 0.0
+
+    def test_reducible_diagonal_exact_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_radius(np.diag([0.0, 0.0, 0.3, 0.0])) == 0.3
 
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):

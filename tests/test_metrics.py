@@ -151,11 +151,13 @@ class TestFdmaOptimum:
         ch, cfg = random_instance(rng, 2, 4, strength=0.8)
         best, _, exact = social_optimum_fdma(ch, cfg)
         assert exact
-        from rategame.metrics import _fdma_profile, _sum_rate_fast
+        from rategame.core import sum_rate_array
+        from rategame.metrics import _fdma_profile
 
         for mask in range(2 ** 4):
             owner = np.array([(mask >> k) & 1 for k in range(4)])
-            assert best >= _sum_rate_fast(ch, _fdma_profile(ch, cfg, owner)) - 1e-12
+            p = _fdma_profile(ch, cfg, owner)
+            assert best >= sum_rate_array(ch.F, ch.sigma2, p) - 1e-12
 
 
 class TestOccupancy:

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rategame import (
+    ChannelGenSpec,
+    GameConfig,
     PowerProfile,
     Schedule,
     SolverOptions,
@@ -9,6 +13,7 @@ from rategame import (
     fixed_point_residual,
     full_bin_sets,
     build_report,
+    generate_channels,
     robust_best_response,
     solve,
     write_trajectory_csv,
@@ -170,3 +175,23 @@ class TestTrajectoryCsv:
         rows = text.splitlines()[1:]
         assert len(rows) == res.trajectory.shape[0] * 2 * 3
         assert out1.read_bytes() == out2.read_bytes()
+
+    # sha256 of the trajectory CSV of one generated game, recorded before the
+    # schedules shared one update loop; any change to the iterates, the update
+    # order or the random_async draws changes these bytes
+    @pytest.mark.parametrize("schedule, digest", [
+        (Schedule(kind="jacobi"),
+         "d1a02b86e6eb37997c7bc3535b6445ee1ab49e9603118415ba2198d33bb00a89"),
+        (Schedule(kind="gauss_seidel"),
+         "554129c04eb8669460b7790b3edb096d2221e8259e72c4360b2d64e65f45e43f"),
+        (Schedule(kind="random_async", seed=1, update_probability=0.5, max_staleness=2),
+         "3240eba28401bdc931feabca100ce6ccfb069be83ee4965337ec21c082e50914"),
+    ], ids=["jacobi", "gauss_seidel", "random_async"])
+    def test_pinned_bytes(self, tmp_path, schedule, digest):
+        ch = generate_channels(ChannelGenSpec(Q=3, N=8, seed=4))
+        cfg = GameConfig(P=np.ones(3), pmax=np.ones((3, 8)), eps=np.full(3, 0.02))
+        res = solve(ch, cfg, default_initial_profile(ch, cfg), schedule,
+                    SolverOptions(tol=1e-8, max_iters=200, record_trajectory=True))
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(res, out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
