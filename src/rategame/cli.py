@@ -57,6 +57,11 @@ EXIT_CONDITION = 3
 # this; the cap turns a mistyped step into an input error before a list of
 # that size is built.
 GRID_POINT_CAP = 10_000
+# F holds Q*Q*N float64 values, and building, perturbing and solving a game
+# makes a few copies of it. The cap (80 MB per copy) is far above the largest
+# benchmark game (16*16*1024) and turns a mistyped Q or N into an input error
+# before any array of that size is allocated.
+CHANNEL_ENTRY_CAP = 10_000_000
 
 
 class ConfigError(GameError):
@@ -99,6 +104,13 @@ def _parse_int(token, what, where, minimum=0):
     if value < minimum:
         raise ConfigError(f"{where}: {what} must be at least {minimum}, got {token!r}")
     return int(value)
+
+
+def _check_channel_size(Q, N, where):
+    if Q * Q * N > CHANNEL_ENTRY_CAP:
+        raise ConfigError(
+            f"{where}: Q*Q*N = {Q * Q * N} exceeds the cap of {CHANNEL_ENTRY_CAP}"
+        )
 
 
 def parse_config(path) -> RunConfig:
@@ -160,6 +172,7 @@ def _parse_channels(path, entries):
             raise ConfigError(f"{where}: unrecognized channels entry {' '.join(tokens)!r}")
     if Q is None or N is None:
         raise ConfigError(f"{path}: [channels] must declare Q and N first")
+    _check_channel_size(Q, N, f"{path}: [channels]")
 
     F = np.zeros((Q, Q, N))
     sigma2 = np.full((Q, N), np.nan)
@@ -202,6 +215,7 @@ def _parse_generate(path, entries):
         fields[key] = keys[key](tokens[1], key, where)
     if "users" not in fields or "freqs" not in fields:
         raise ConfigError(f"{path}: [generate] must declare users and freqs")
+    _check_channel_size(fields["users"], fields["freqs"], f"{path}: [generate]")
     try:
         return ChannelGenSpec(
             Q=fields["users"],
@@ -370,6 +384,7 @@ def cmd_two_user(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_channel_size(args.users, args.freqs, "--users/--freqs")
     gen = ChannelGenSpec(
         Q=args.users, N=args.freqs, seed=args.seed,
         noise_power=args.noise_power,
@@ -456,6 +471,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # the seed reaches numpy.random.default_rng, which rejects negatives
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except (GameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

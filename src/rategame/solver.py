@@ -149,13 +149,15 @@ def solve(
 
     p = initial.p.copy()
     rng = np.random.default_rng(schedule.seed)
-    # round-start snapshots, oldest first; only random_async reads beyond the last
-    history = deque([p.copy()], maxlen=schedule.max_staleness + 1)
+    # round-start snapshots, oldest first; each round's prev is never written,
+    # so it is stored as it is, and only random_async reads beyond the last
+    history = deque(maxlen=schedule.max_staleness + 1)
     trajectory = [p.copy()] if opts.record_trajectory else None
 
     converged = False
     for rnd in range(1, opts.max_iters + 1):
         prev = p.copy()
+        history.append(prev)
         for q, view in _round_views(schedule, p, prev, history, rng):
             p[q], _ = best_response_powers(
                 ch.F, ch.sigma2, cfg.eps[q], view, q, cfg.P[q], cfg.pmax[q]
@@ -163,7 +165,6 @@ def solve(
             _check_finite(p[q], q, rnd)
 
         delta = float(np.abs(p - prev).max())
-        history.append(p.copy())
         if trajectory is not None:
             trajectory.append(p.copy())
         if delta < opts.tol:
@@ -187,7 +188,7 @@ def solve(
 
 
 def _check_finite(row, q, rnd):
-    if not np.all(np.isfinite(row)):
+    if not np.isfinite(row).all():
         raise NumericalError(f"non-finite update for user {q + 1} in round {rnd}")
 
 

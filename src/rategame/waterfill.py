@@ -45,23 +45,31 @@ def find_water_level(phi, P: float, pmax) -> float:
     """
     phi = np.asarray(phi, dtype=float)
     pmax = np.asarray(pmax, dtype=float)
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(pmax))):
+    if phi.shape != pmax.shape:
+        raise DomainError("phi and pmax must have the same shape")
+    if not (np.isfinite(phi).all() and np.isfinite(pmax).all()):
         raise DomainError("phi and pmax must be finite")
-    if np.any(pmax < 0):
+    if (pmax < 0).any():
         raise DomainError("pmax must be nonnegative")
     if not P > 0:
         raise DomainError("total power must be positive")
     if pmax.sum() <= P:
         raise InfeasibleError("masks cannot absorb the power budget")
 
-    events = np.concatenate([phi, phi + pmax])
-    steps = np.concatenate([np.ones_like(phi), -np.ones_like(pmax)])
-    order = np.argsort(events, kind="stable")
+    # Small N makes this sweep cost its numpy calls, not its arithmetic, so
+    # it makes few of them: the slopes come from the sort order (the first
+    # n events open a bin, the rest close one) and the fill is accumulated
+    # into an array whose first entry is the zero fill at the lowest event.
+    n = phi.size
+    events = np.concatenate((phi, phi + pmax))
+    order = events.argsort(kind="stable")
     b = events[order]
-    slope = np.cumsum(steps[order])  # slope on the segment right of each breakpoint
-    filled = np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(b))))
+    slope = np.where(order < n, 1.0, -1.0).cumsum()  # slope right of each breakpoint
+    filled = np.empty(2 * n)
+    filled[0] = 0.0
+    (slope[:-1] * (b[1:] - b[:-1])).cumsum(out=filled[1:])
 
-    j = int(np.searchsorted(filled, P, side="left"))
+    j = int(filled.searchsorted(P))
     if filled[j] == P:
         return float(b[j])
     return float(b[j - 1] + (P - filled[j - 1]) / slope[j - 1])
@@ -72,7 +80,7 @@ def waterfill_powers(phi, P: float, pmax):
     phi = np.asarray(phi, dtype=float)
     pmax = np.asarray(pmax, dtype=float)
     mu = find_water_level(phi, P, pmax)
-    return np.clip(mu - phi, 0.0, pmax), mu
+    return np.minimum(np.maximum(mu - phi, 0.0), pmax), mu
 
 
 def project_to_simplex(v, P: float, pmax):

@@ -1,5 +1,6 @@
 import pytest
 
+from rategame import cli
 from rategame.cli import main
 
 FIG1_TEMPLATE = """\
@@ -192,3 +193,51 @@ class TestInputValidation:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: grid ")
+
+    @pytest.mark.parametrize("command", ["solve", "two-user", "experiment"])
+    def test_negative_seed_is_input_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "solve": ["solve", str(write_fig1(tmp_path))],
+            "two-user": ["two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2.0",
+                         "--eps-grid", "0:0.1:0.05", "--out", str(out)],
+            "experiment": ["experiment", "--users", "2", "--freqs", "4",
+                           "--delta-grid", "0:0:0.2", "--trials", "1", "--out", str(out)],
+        }[command]
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --seed must be at least 0, got -1"]
+        assert not out.exists()
+
+    def test_huge_user_count_is_input_error(self, tmp_path, capsys):
+        # Q*Q*N = 1e18 entries: refused before any array is built
+        path = tmp_path / "huge.cfg"
+        path.write_text("[channels]\nQ 1e9\nN 1\nsigma2 * * 1.0\n")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "exceeds" in err[0]
+
+    # the cap is lowered to 8 entries, so the games on either side of it are tiny
+    @pytest.mark.parametrize("source", ["channels", "generate", "experiment"])
+    def test_channel_cap(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(cli, "CHANNEL_ENTRY_CAP", 8)
+        path = tmp_path / "game.cfg"
+        out = tmp_path / "out"
+
+        def run(Q, N):
+            if source == "experiment":
+                return main(["experiment", "--users", str(Q), "--freqs", str(N),
+                             "--delta-grid", "0:0:0.2", "--trials", "1",
+                             "--threads", "1", "--out", str(out)])
+            if source == "channels":
+                path.write_text(f"[channels]\nQ {Q}\nN {N}\nsigma2 * * 1.0\n")
+            else:
+                path.write_text(f"[generate]\nusers {Q}\nfreqs {N}\n")
+            return main(["solve", str(path)])
+
+        assert run(3, 1) == 1  # 9 entries
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "exceeds the cap of 8" in err[0]
+        assert not out.exists()
+        assert run(2, 2) == 0  # 8 entries

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from rategame import (
     run_trials,
 )
 from rategame.experiment import TrialRecord, write_summary_csv, write_trial_csv
+from rategame.solver import Schedule, SolverOptions
 
 
 class TestGenerateChannels:
@@ -178,4 +181,23 @@ class TestCsvOutputs:
         assert head == (
             "trial,kind,delta,Q,N,sum_rate_true,occupancy_u1,occupancy_u2,"
             "occupancy_mean,iterations,converged,uniqueness_ok"
+        )
+
+    def test_pinned_c11_bytes(self, tmp_path):
+        # trials 0-6 of the C11 sweep; trial 6 holds the two nominal solves
+        # at delta 0.4 and 0.6 that stop at max_iters, so the cap is covered
+        gen = ChannelGenSpec(Q=3, N=16, seed=2024)
+        records = []
+        for delta in (0.0, 0.2, 0.4, 0.6):
+            records += run_trials(
+                gen, UncertaintySpec(delta=delta, seed=2025),
+                schedule=Schedule(kind="gauss_seidel"),
+                opts=SolverOptions(tol=1e-8, max_iters=1000), trials=7,
+            )
+        capped = [(r.trial, r.kind, r.delta) for r in records if r.iterations == 1000]
+        assert capped == [(6, "nominal", 0.4), (6, "nominal", 0.6)]
+        out = tmp_path / "trials.csv"
+        write_trial_csv(records, out, 3, 16)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "165cc909f999a6a4ce66c0b5b9cfebfb3055538c37d84503e27c6e56d23edc94"
         )

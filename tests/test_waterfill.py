@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from rategame import (
     ChannelSet,
+    DomainError,
     GameConfig,
     InfeasibleError,
     PowerProfile,
@@ -37,6 +38,30 @@ class TestFindWaterLevel:
     def test_infeasible_masks(self):
         with pytest.raises(InfeasibleError):
             find_water_level([1.0, 1.0], 3.0, [1.0, 1.0])
+
+    @pytest.mark.parametrize("phi, P, pmax, message", [
+        ([np.nan, 1.0], 1.0, [1.0, 1.0], "must be finite"),
+        ([1.0, 1.0], 1.0, [np.inf, 1.0], "must be finite"),
+        ([1.0, 1.0], 1.0, [-1.0, 3.0], "nonnegative"),
+        ([1.0, 1.0], 0.0, [1.0, 1.0], "must be positive"),
+        ([1.0, 2.0, 3.0], 1.0, [2.0], "same shape"),
+    ], ids=["phi_nan", "pmax_inf", "pmax_negative", "P_zero", "shape_mismatch"])
+    def test_domain_errors(self, phi, P, pmax, message):
+        with pytest.raises(DomainError, match=message):
+            find_water_level(phi, P, pmax)
+
+    # exact values: a crossing on a breakpoint, at tied events, past a full bin
+    def test_exact_breakpoint(self):
+        # the fill meets P exactly at the breakpoint phi[1] = 1
+        assert find_water_level([0.0, 1.0], 1.0, [2.0, 2.0]) == 1.0
+
+    def test_tied_levels_with_zero_mask_bin(self):
+        # bin 2 opens and closes at 0.5; bins 1 and 3 fill to 1.0
+        assert find_water_level([0.5, 0.5, 0.5], 1.0, [1.0, 0.0, 1.0]) == 1.0
+
+    def test_clipped_bin_exact(self):
+        # bin 1 saturates at 0.25 and the rest splits on the last segment
+        assert find_water_level([0.1, 0.2, 0.3], 0.7, [0.25, 1.0, 1.0]) == 0.475
 
     def test_zero_mask_bin_unavailable(self):
         powers, _ = waterfill_powers([0.1, 0.2, 0.3], 1.0, [0.0, 2.0, 2.0])
