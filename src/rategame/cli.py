@@ -24,10 +24,13 @@ from .core import (
     GameConfig,
     GameError,
     RegimeError,
+    format_value,
     price_of_anarchy,
     sum_rate,
+    write_csv,
 )
 from .experiment import (
+    DEFAULT_NOISE_POWER,
     ChannelGenSpec,
     UncertaintySpec,
     aggregate,
@@ -70,16 +73,16 @@ class ConfigError(GameError):
 
 @dataclass
 class RunConfig:
-    channels: ChannelSet = None
-    genspec: ChannelGenSpec = None
-    game: GameConfig = None
-    schedule: Schedule = None
-    options: SolverOptions = None
+    channels: ChannelSet
+    game: GameConfig
+    schedule: Schedule
+    options: SolverOptions
 
 
 def _parse_index(token, limit, what, where):
+    """0-based index of a 1-based token; '*' spans the whole axis."""
     if token == "*":
-        return None
+        return slice(None)
     try:
         idx = int(token)
     except ValueError:
@@ -106,6 +109,17 @@ def _parse_int(token, what, where, minimum=0):
     return int(value)
 
 
+def _assign(target, tokens, axes, what, where):
+    """target[i, j, ...] = value for the tokens 'i j ... value'.
+
+    axes holds one (limit, name) pair per index token.
+    """
+    index = tuple(
+        _parse_index(token, limit, name, where) for token, (limit, name) in zip(tokens, axes)
+    )
+    target[index] = _parse_float(tokens[-1], what, where)
+
+
 def _check_channel_size(Q, N, where):
     if Q * Q * N > CHANNEL_ENTRY_CAP:
         raise ConfigError(
@@ -118,9 +132,9 @@ def parse_config(path) -> RunConfig:
     sections = {}
     current = None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
     for lineno, line in enumerate(raw, start=1):
         text = line.split("#", 1)[0].strip()
@@ -132,7 +146,7 @@ def parse_config(path) -> RunConfig:
             continue
         if current is None:
             raise ConfigError(f"{path}:{lineno}: entry before any [section]")
-        sections[current].append((lineno, text.split()))
+        sections[current].append((f"{path}:{lineno}", text.split()))
 
     has_channels = "channels" in sections
     has_generate = "generate" in sections
@@ -141,33 +155,30 @@ def parse_config(path) -> RunConfig:
             f"{path}: exactly one of [channels] or [generate] must be present"
         )
 
-    cfg = RunConfig()
     if has_channels:
-        cfg.channels = _parse_channels(path, sections["channels"])
-        Q, N = cfg.channels.Q, cfg.channels.N
+        channels = _parse_channels(path, sections["channels"])
+        Q, N = channels.Q, channels.N
     else:
-        cfg.genspec = _parse_generate(path, sections["generate"])
-        Q, N = cfg.genspec.Q, cfg.genspec.N
-    cfg.game = _parse_game(path, sections.get("game", []), Q, N)
-    cfg.schedule, cfg.options = _parse_solver(path, sections.get("solver", []))
-    return cfg
+        spec = _parse_generate(path, sections["generate"])
+        Q, N = spec.Q, spec.N
+    game = _parse_game(path, sections.get("game", []), Q, N)
+    schedule, options = _parse_solver(path, sections.get("solver", []))
+    if not has_channels:
+        channels = generate_channels(spec)  # drawn once every section has parsed
+    return RunConfig(channels, game, schedule, options)
 
 
 def _parse_channels(path, entries):
     Q = N = None
-    f_rows = []
-    s_rows = []
-    for lineno, tokens in entries:
-        where = f"{path}:{lineno}"
+    values = []
+    for where, tokens in entries:
         key = tokens[0].lower()
         if key == "q" and len(tokens) == 2:
             Q = _parse_int(tokens[1], "Q", where, minimum=1)
         elif key == "n" and len(tokens) == 2:
             N = _parse_int(tokens[1], "N", where, minimum=1)
-        elif key == "f" and len(tokens) == 5:
-            f_rows.append((lineno, tokens[1:]))
-        elif key == "sigma2" and len(tokens) == 4:
-            s_rows.append((lineno, tokens[1:]))
+        elif (key, len(tokens)) in (("f", 5), ("sigma2", 4)):
+            values.append((where, key, tokens[1:]))
         else:
             raise ConfigError(f"{where}: unrecognized channels entry {' '.join(tokens)!r}")
     if Q is None or N is None:
@@ -176,23 +187,17 @@ def _parse_channels(path, entries):
 
     F = np.zeros((Q, Q, N))
     sigma2 = np.full((Q, N), np.nan)
-    for lineno, (r_tok, q_tok, k_tok, v_tok) in f_rows:
-        where = f"{path}:{lineno}"
-        r = _parse_index(r_tok, Q, "user", where)
-        q = _parse_index(q_tok, Q, "user", where)
-        k = _parse_index(k_tok, N, "frequency", where)
-        if r is None or q is None:
+    user, freq = (Q, "user"), (N, "frequency")
+    for where, key, tokens in values:
+        if key == "sigma2":
+            _assign(sigma2, tokens, (user, freq), "sigma2", where)
+            continue
+        r, q = (_parse_index(token, Q, "user", where) for token in tokens[:2])
+        if slice(None) in (r, q):
             raise ConfigError(f"{where}: F rows need explicit r and q")
         if r == q:
             raise ConfigError(f"{where}: diagonal F entries are fixed at zero")
-        val = _parse_float(v_tok, "F", where)
-        F[r, q, slice(None) if k is None else k] = val
-    for lineno, (q_tok, k_tok, v_tok) in s_rows:
-        where = f"{path}:{lineno}"
-        q = _parse_index(q_tok, Q, "user", where)
-        k = _parse_index(k_tok, N, "frequency", where)
-        val = _parse_float(v_tok, "sigma2", where)
-        sigma2[slice(None) if q is None else q, slice(None) if k is None else k] = val
+        _assign(F, tokens, (user, user, freq), "F", where)
     if np.any(np.isnan(sigma2)):
         raise ConfigError(f"{path}: sigma2 not set for every (user, frequency)")
     try:
@@ -201,30 +206,28 @@ def _parse_channels(path, entries):
         raise ConfigError(f"{path}: [channels] invalid: {exc}")
 
 
+# config key -> (ChannelGenSpec field, parser)
+GENERATE_KEYS = {
+    "users": ("Q", _parse_int), "freqs": ("N", _parse_int),
+    "cross_variance": ("cross_variance", _parse_float),
+    "direct_variance": ("direct_variance", _parse_float),
+    "noise_power": ("noise_power", _parse_float), "seed": ("seed", _parse_int),
+}
+
+
 def _parse_generate(path, entries):
     fields = {}
-    keys = {
-        "users": _parse_int, "freqs": _parse_int, "cross_variance": _parse_float,
-        "direct_variance": _parse_float, "noise_power": _parse_float, "seed": _parse_int,
-    }
-    for lineno, tokens in entries:
-        where = f"{path}:{lineno}"
-        if len(tokens) != 2 or tokens[0].lower() not in keys:
-            raise ConfigError(f"{where}: unrecognized generate entry {' '.join(tokens)!r}")
+    for where, tokens in entries:
         key = tokens[0].lower()
-        fields[key] = keys[key](tokens[1], key, where)
-    if "users" not in fields or "freqs" not in fields:
+        if len(tokens) != 2 or key not in GENERATE_KEYS:
+            raise ConfigError(f"{where}: unrecognized generate entry {' '.join(tokens)!r}")
+        field, parse = GENERATE_KEYS[key]
+        fields[field] = parse(tokens[1], key, where)
+    if "Q" not in fields or "N" not in fields:
         raise ConfigError(f"{path}: [generate] must declare users and freqs")
-    _check_channel_size(fields["users"], fields["freqs"], f"{path}: [generate]")
+    _check_channel_size(fields["Q"], fields["N"], f"{path}: [generate]")
     try:
-        return ChannelGenSpec(
-            Q=fields["users"],
-            N=fields["freqs"],
-            cross_variance=fields.get("cross_variance", 1.0),
-            direct_variance=fields.get("direct_variance", 2.25),
-            noise_power=fields.get("noise_power", ChannelGenSpec(1, 1).noise_power),
-            seed=fields.get("seed", 0),
-        )
+        return ChannelGenSpec(**fields)
     except GameError as exc:
         raise ConfigError(f"{path}: [generate] invalid: {exc}")
 
@@ -233,70 +236,47 @@ def _parse_game(path, entries, Q, N):
     P = np.ones(Q)
     eps = np.zeros(Q)
     pmax = np.ones((Q, N))
-    for lineno, tokens in entries:
-        where = f"{path}:{lineno}"
+    user, freq = (Q, "user"), (N, "frequency")
+    # config key -> (array, its index axes, value name in messages)
+    grammar = {"p": (P, (user,), "P"), "eps": (eps, (user,), "eps"),
+               "pmax": (pmax, (user, freq), "pmax")}
+    for where, tokens in entries:
         key = tokens[0].lower()
-        if key == "p" and len(tokens) == 3:
-            q = _parse_index(tokens[1], Q, "user", where)
-            P[slice(None) if q is None else q] = _parse_float(tokens[2], "P", where)
-        elif key == "eps" and len(tokens) == 3:
-            q = _parse_index(tokens[1], Q, "user", where)
-            eps[slice(None) if q is None else q] = _parse_float(tokens[2], "eps", where)
-        elif key == "pmax" and len(tokens) == 4:
-            q = _parse_index(tokens[1], Q, "user", where)
-            k = _parse_index(tokens[2], N, "frequency", where)
-            pmax[slice(None) if q is None else q, slice(None) if k is None else k] = \
-                _parse_float(tokens[3], "pmax", where)
-        else:
+        if key not in grammar or len(tokens) != len(grammar[key][1]) + 2:
             raise ConfigError(f"{where}: unrecognized game entry {' '.join(tokens)!r}")
+        target, axes, what = grammar[key]
+        _assign(target, tokens[1:], axes, what, where)
     try:
         return GameConfig(P=P, pmax=pmax, eps=eps)
     except GameError as exc:
         raise ConfigError(f"{path}: [game] invalid: {exc}")
 
 
+# config key -> (dataclass, field, parser)
+SOLVER_KEYS = {
+    "schedule": (Schedule, "kind", lambda token, *_: token),
+    "seed": (Schedule, "seed", _parse_int),
+    "update_probability": (Schedule, "update_probability", _parse_float),
+    "max_staleness": (Schedule, "max_staleness", _parse_int),
+    "tol": (SolverOptions, "tol", _parse_float),
+    "max_iters": (SolverOptions, "max_iters", _parse_int),
+}
+
+
 def _parse_solver(path, entries):
-    sched = dict(kind="jacobi", seed=0, update_probability=1.0, max_staleness=0)
-    opts = dict(tol=1e-10, max_iters=10_000)
-    for lineno, tokens in entries:
-        where = f"{path}:{lineno}"
+    fields = {Schedule: {}, SolverOptions: {}}  # absent keys keep their defaults
+    for where, tokens in entries:
         key = tokens[0].lower()
         if len(tokens) != 2:
             raise ConfigError(f"{where}: solver entries are 'key value'")
-        val = tokens[1]
-        if key == "schedule":
-            sched["kind"] = val
-        elif key == "seed":
-            sched["seed"] = _parse_int(val, key, where)
-        elif key == "update_probability":
-            sched["update_probability"] = _parse_float(val, key, where)
-        elif key == "max_staleness":
-            sched["max_staleness"] = _parse_int(val, key, where)
-        elif key == "tol":
-            opts["tol"] = _parse_float(val, key, where)
-        elif key == "max_iters":
-            opts["max_iters"] = _parse_int(val, key, where)
-        else:
+        if key not in SOLVER_KEYS:
             raise ConfigError(f"{where}: unrecognized solver entry {key!r}")
+        cls, field, parse = SOLVER_KEYS[key]
+        fields[cls][field] = parse(tokens[1], key, where)
     try:
-        return Schedule(**sched), SolverOptions(**opts)
+        return Schedule(**fields[Schedule]), SolverOptions(**fields[SolverOptions])
     except GameError as exc:
         raise ConfigError(f"{path}: [solver] invalid: {exc}")
-
-
-def _materialize(cfg: RunConfig) -> ChannelSet:
-    if cfg.channels is not None:
-        return cfg.channels
-    return generate_channels(cfg.genspec)
-
-
-def _write_profile_csv(result, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("user,frequency,power,mu\n")
-        p = result.profile.p
-        for q in range(p.shape[0]):
-            for k in range(p.shape[1]):
-                fh.write(f"{q + 1},{k + 1},{p[q, k]:.17g},{result.mu[q]:.17g}\n")
 
 
 def cmd_solve(args) -> int:
@@ -312,23 +292,25 @@ def cmd_solve(args) -> int:
     if args.trajectory:
         cfg.options = replace(cfg.options, record_trajectory=True)
 
-    ch = _materialize(cfg)
+    ch = cfg.channels
     initial = default_initial_profile(ch, cfg.game)
     result = solve(ch, cfg.game, initial, cfg.schedule, cfg.options)
     if args.out:
-        _write_profile_csv(result, args.out)
+        p = result.profile.p
+        write_csv(args.out, ["user", "frequency", "power", "mu"], (
+            (q + 1, k + 1, p[q, k], result.mu[q])
+            for q in range(p.shape[0]) for k in range(p.shape[1])
+        ))
     if args.trajectory:
         write_trajectory_csv(result, args.trajectory)
-    print(f"residual {result.residual:.17g}")
-    print(f"iterations {result.iterations}")
-    print(f"converged {str(result.converged).lower()}")
+    for key in ("residual", "iterations", "converged"):
+        print(key, format_value(getattr(result, key)))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_check(args) -> int:
     cfg = parse_config(args.config)
-    ch = _materialize(cfg)
-    report = build_report(ch, cfg.game)
+    report = build_report(cfg.channels, cfg.game)
     sys.stdout.write(report_to_text(report))
     return EXIT_OK if report.uniqueness_holds else EXIT_CONDITION
 
@@ -370,21 +352,17 @@ def cmd_two_user(args) -> int:
         s_opt, _ = social_optimum_bruteforce(ch, game, grid_resolution=args.grid_resolution)
         rows.append((eps, p_closed, p_solver, s_eq, price_of_anarchy(s_opt, s_eq), regime))
 
-    out = sys.stdout if not args.out else open(args.out, "w", newline="\n")
-    try:
-        out.write("eps,p_closed_form,p_solver,sum_rate,poa_vs_bruteforce,regime\n")
-        for eps, p_c, p_s, s_eq, poa, regime in rows:
-            out.write(
-                f"{eps:.17g},{p_c:.17g},{p_s:.17g},{s_eq:.17g},{poa:.17g},{regime}\n"
-            )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    header = ["eps", "p_closed_form", "p_solver", "sum_rate", "poa_vs_bruteforce", "regime"]
+    write_csv(args.out or sys.stdout, header, rows)
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
     _check_channel_size(args.users, args.freqs, "--users/--freqs")
+    # every delta is checked before the output directory or any trial exists
+    uncertainty = [
+        UncertaintySpec(delta=delta, seed=args.seed + 1) for delta in _parse_grid(args.delta_grid)
+    ]
     gen = ChannelGenSpec(
         Q=args.users, N=args.freqs, seed=args.seed,
         noise_power=args.noise_power,
@@ -402,8 +380,7 @@ def cmd_experiment(args) -> int:
     try:
         all_records = []
         summaries = []
-        for delta in _parse_grid(args.delta_grid):
-            u = UncertaintySpec(delta=delta, seed=args.seed + 1)
+        for u in uncertainty:
             records = run_trials(
                 gen, u, game, schedule, opts, trials=args.trials, pool=pool
             )
@@ -458,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--trials", type=int, default=500)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--noise-power", dest="noise_power", type=float,
-                       default=ChannelGenSpec(1, 1).noise_power)
+                       default=DEFAULT_NOISE_POWER)
     p_exp.add_argument("--tol", type=float, default=1e-8)
     p_exp.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
     p_exp.add_argument("--threads", type=int, default=os.cpu_count() or 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelSet, DomainError, GameConfig, StructuralError, check_dims
+from .core import ChannelSet, DomainError, GameConfig, StructuralError, check_dims, format_value
 from .waterfill import best_responses, random_feasible_profile, waterfill_powers
 
 
@@ -126,14 +126,11 @@ def perron_weights(M) -> np.ndarray:
     return v
 
 
-def build_report(
-    ch: ChannelSet, cfg: GameConfig, bin_sets=None, weights=None
-) -> ConditionReport:
+def build_report(ch: ChannelSet, cfg: GameConfig, bin_sets=None) -> ConditionReport:
     """Assemble E and S^max, their radii, the verdict and the contraction modulus.
 
     bin_sets defaults to the never-used-set complements; pass full_bin_sets(ch)
-    for the most conservative check. weights may be a positive vector or
-    "perron" for the Perron direction of Smax + E; default all ones.
+    for the most conservative check. The modulus uses unit weights.
     """
     check_dims(ch, cfg)
     if bin_sets is None:
@@ -146,14 +143,7 @@ def build_report(
     margin = None
     if np.all(eps == eps[0]):
         margin = float(1.0 - eps[0] * (cfg.Q - 1) - rho_S)
-    if weights is None:
-        w = np.ones(cfg.Q)
-    elif isinstance(weights, str):
-        if weights != "perron":
-            raise DomainError(f"unknown weighting {weights!r}")
-        w = perron_weights(Smax + E)
-    else:
-        w = np.asarray(weights, dtype=float)
+    w = np.ones(cfg.Q)
     return ConditionReport(
         E=E,
         Smax=Smax,
@@ -172,7 +162,7 @@ def block_norm(mat, w) -> float:
 
 
 def empirical_contraction_check(
-    ch: ChannelSet, cfg: GameConfig, trials: int, seed: int, w=None
+    ch: ChannelSet, cfg: GameConfig, trials: int, seed: int
 ) -> float:
     """Worst observed block-norm ratio of the waterfilling map over random pairs.
 
@@ -181,8 +171,7 @@ def empirical_contraction_check(
     The ratio never exceeds the contraction modulus taken over all bins.
     """
     check_dims(ch, cfg)
-    if w is None:
-        w = np.ones(cfg.Q)
+    w = np.ones(cfg.Q)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -199,25 +188,20 @@ def empirical_contraction_check(
 
 def report_to_text(report: ConditionReport) -> str:
     """Flat key-value block, one entry per line."""
-    lines = [
-        f"Q {report.E.shape[0]}",
-        f"rho_E {report.rho_E:.17g}",
-        f"rho_Smax {report.rho_Smax:.17g}",
-        f"uniqueness_holds {'true' if report.uniqueness_holds else 'false'}",
-        f"uniqueness_margin {1.0 - report.rho_E - report.rho_Smax:.17g}",
+    Q = report.E.shape[0]
+    entries = [
+        ("Q", Q),
+        ("rho_E", report.rho_E),
+        ("rho_Smax", report.rho_Smax),
+        ("uniqueness_holds", report.uniqueness_holds),
+        ("uniqueness_margin", 1.0 - report.rho_E - report.rho_Smax),
     ]
     if report.uniform_eps_margin is not None:
-        lines.append(f"uniform_eps_margin {report.uniform_eps_margin:.17g}")
-    lines.append(f"contraction_modulus {report.contraction_modulus:.17g}")
-    Q = report.E.shape[0]
-    for q in range(Q):
-        lines.append(f"w[{q + 1}] {report.weights[q]:.17g}")
-    for q in range(Q):
-        for r in range(Q):
-            if r != q:
-                lines.append(f"E[{q + 1},{r + 1}] {report.E[q, r]:.17g}")
-    for q in range(Q):
-        for r in range(Q):
-            if r != q:
-                lines.append(f"Smax[{q + 1},{r + 1}] {report.Smax[q, r]:.17g}")
-    return "\n".join(lines) + "\n"
+        entries.append(("uniform_eps_margin", report.uniform_eps_margin))
+    entries.append(("contraction_modulus", report.contraction_modulus))
+    entries += [(f"w[{q + 1}]", report.weights[q]) for q in range(Q)]
+    for name in ("E", "Smax"):
+        M = getattr(report, name)
+        entries += [(f"{name}[{q + 1},{r + 1}]", M[q, r])
+                    for q in range(Q) for r in range(Q) if r != q]
+    return "".join(f"{key} {format_value(value)}\n" for key, value in entries)

@@ -12,11 +12,14 @@ operations are pure functions and may assume valid inputs.
 
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 POWER_SUM_RTOL = 1e-9  # relative tolerance on the per-user total-power equality
+FLOAT_FIELD = "{:.17g}"  # 17 significant digits round-trip every float64
 
 
 class GameError(Exception):
@@ -251,3 +254,39 @@ def price_of_anarchy(s_optimal: float, s_equilibrium: float) -> float:
             and np.isfinite(s_equilibrium)):
         raise DomainError("sum-rates must be positive and finite")
     return s_optimal / s_equilibrium
+
+
+def format_value(value) -> str:
+    """The text of one output value: floats at full precision, booleans true/false."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return FLOAT_FIELD.format(value)
+    return str(value)
+
+
+def write_csv(dest, header, rows):
+    """Write a header line and rows, comma-separated with LF endings.
+
+    dest is a path or an open text stream. Cells read as format_value spells
+    them. The row template is built once, from the types of the first row, so
+    every row must hold the same types column by column.
+    """
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", newline="\n") as fh:
+            return write_csv(fh, header, rows)
+    dest.write(",".join(header) + "\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    template = ",".join(
+        FLOAT_FIELD if isinstance(v, float) else "{}" for v in first
+    ) + "\n"
+    bools = [i for i, v in enumerate(first) if isinstance(v, (bool, np.bool_))]
+    for row in itertools.chain([first], rows):
+        if bools:
+            row = list(row)
+            for i in bools:
+                row[i] = format_value(row[i])
+        dest.write(template.format(*row))

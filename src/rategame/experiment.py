@@ -14,11 +14,12 @@ reuse the same channel and error realizations (paired comparisons).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .core import ChannelSet, DomainError, GameConfig, sum_rate
+from .core import ChannelSet, DomainError, GameConfig, sum_rate, write_csv
 from .conditions import build_report
 from .metrics import occupancy_counts
 from .solver import Schedule, SolverOptions, default_initial_profile, solve
@@ -140,18 +141,8 @@ def run_single_trial(
     trial: int,
 ):
     """The three solves of one trial, scored on the true channels."""
-    true_ch = generate_channels(
-        ChannelGenSpec(
-            Q=gen.Q, N=gen.N,
-            cross_variance=gen.cross_variance,
-            direct_variance=gen.direct_variance,
-            noise_power=gen.noise_power,
-            seed=_spawn_seed(gen.seed, trial),
-        )
-    )
-    nominal_ch, eps = perturb_channels(
-        true_ch, UncertaintySpec(delta=u.delta, seed=_spawn_seed(u.seed, trial))
-    )
+    true_ch = generate_channels(replace(gen, seed=_spawn_seed(gen.seed, trial)))
+    nominal_ch, eps = perturb_channels(true_ch, replace(u, seed=_spawn_seed(u.seed, trial)))
 
     games = {
         "robust": (nominal_ch, eps),
@@ -204,18 +195,10 @@ def run_trials(
         schedule = Schedule(kind="gauss_seidel")
     if opts is None:
         opts = SolverOptions(tol=1e-8, max_iters=1000)
-    records = []
-    if pool is None:
-        for t in range(trials):
-            records.extend(run_single_trial(gen, u, cfg_template, schedule, opts, t))
-    else:
-        futures = [
-            pool.submit(run_single_trial, gen, u, cfg_template, schedule, opts, t)
-            for t in range(trials)
-        ]
-        for f in futures:  # submission order keeps output deterministic
-            records.extend(f.result())
-    return records
+    trial = partial(run_single_trial, gen, u, cfg_template, schedule, opts)
+    # both maps yield in trial order, which keeps the output deterministic
+    results = (map if pool is None else pool.map)(trial, range(trials))
+    return [record for records in results for record in records]
 
 
 def aggregate(records):
@@ -256,36 +239,30 @@ def aggregate(records):
 
 
 def write_trial_csv(records, path, Q: int, N: int):
-    """One row per TrialRecord; full-precision, LF endings."""
-    with open(path, "w", newline="\n") as fh:
-        occ_cols = ",".join(f"occupancy_u{q + 1}" for q in range(Q))
-        fh.write(
-            f"trial,kind,delta,Q,N,sum_rate_true,{occ_cols},occupancy_mean,"
-            "iterations,converged,uniqueness_ok\n"
-        )
-        for r in records:
-            occ = ",".join(f"{int(c)}" for c in r.occupancy)
-            fh.write(
-                f"{r.trial},{r.kind},{r.delta:.17g},{Q},{N},"
-                f"{r.sum_rate_true:.17g},{occ},{r.occupancy.mean():.17g},"
-                f"{r.iterations},{str(r.converged).lower()},"
-                f"{str(r.uniqueness_ok).lower()}\n"
-            )
+    """One row per TrialRecord.
+
+    delta is cast to float because the column's text form is set by the first
+    row, and an int delta there would spell the later float ones short.
+    """
+    header = ["trial", "kind", "delta", "Q", "N", "sum_rate_true",
+              *(f"occupancy_u{q + 1}" for q in range(Q)), "occupancy_mean",
+              "iterations", "converged", "uniqueness_ok"]
+    write_csv(path, header, (
+        (r.trial, r.kind, float(r.delta), Q, N, r.sum_rate_true, *map(int, r.occupancy),
+         r.occupancy.mean(), r.iterations, r.converged, r.uniqueness_ok)
+        for r in records
+    ))
+
+
+SUMMARY_COLUMNS = (
+    "n_included", "n_excluded", "sum_rate_mean", "sum_rate_stderr", "occupancy_mean",
+    "occupancy_stderr", "iterations_mean", "iterations_stderr",
+)
 
 
 def write_summary_csv(rows, path, Q: int, N: int):
     """Sweep summary: one row per (delta, kind)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(
-            "delta,Q,N,kind,n_included,n_excluded,"
-            "sum_rate_mean,sum_rate_stderr,occupancy_mean,occupancy_stderr,"
-            "iterations_mean,iterations_stderr\n"
-        )
-        for row in rows:
-            fh.write(
-                f"{row['delta']:.17g},{Q},{N},{row['kind']},"
-                f"{row['n_included']},{row['n_excluded']},"
-                f"{row['sum_rate_mean']:.17g},{row['sum_rate_stderr']:.17g},"
-                f"{row['occupancy_mean']:.17g},{row['occupancy_stderr']:.17g},"
-                f"{row['iterations_mean']:.17g},{row['iterations_stderr']:.17g}\n"
-            )
+    write_csv(path, ["delta", "Q", "N", "kind", *SUMMARY_COLUMNS], (
+        (float(row["delta"]), Q, N, row["kind"], *(row[c] for c in SUMMARY_COLUMNS))
+        for row in rows
+    ))

@@ -10,7 +10,6 @@ probability u per round against neighbor state of bounded age).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .core import (
     PowerProfile,
     assert_feasible,
     check_dims,
+    write_csv,
 )
 from .waterfill import best_response_powers, best_responses, project_to_simplex
 
@@ -49,12 +49,6 @@ class Schedule:
             raise DomainError("update_probability must be in (0, 1]")
         if self.max_staleness < 0:
             raise DomainError("max_staleness must be >= 0")
-
-    def describe(self) -> str:
-        if self.kind == "random_async":
-            return (f"random_async(seed={self.seed}, u={self.update_probability}, "
-                    f"d={self.max_staleness})")
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,6 @@ def _round_views(schedule, p, prev, history, rng):
         for q in range(Q):
             yield q, view
         return
-    snapshots = list(history)  # oldest .. newest == prev
     updating = rng.random(Q) < schedule.update_probability
     for q in range(Q):
         if not updating[q]:
@@ -125,8 +118,8 @@ def _round_views(schedule, p, prev, history, rng):
         for r in range(Q):
             if r == q:
                 continue  # a user always knows its own latest powers
-            age = int(rng.integers(0, len(snapshots)))
-            view[r] = snapshots[-1 - age][r]
+            age = int(rng.integers(0, len(history)))
+            view[r] = history[-1 - age][r]
         yield q, view
 
 
@@ -149,15 +142,17 @@ def solve(
 
     p = initial.p.copy()
     rng = np.random.default_rng(schedule.seed)
-    # round-start snapshots, oldest first; each round's prev is never written,
-    # so it is stored as it is, and only random_async reads beyond the last
-    history = deque(maxlen=schedule.max_staleness + 1)
+    # the last max_staleness + 1 round-start snapshots, oldest first (a list,
+    # so any int bounds it); each round's prev is never written, so it is
+    # stored as it is, and only random_async reads beyond the last
+    history = []
     trajectory = [p.copy()] if opts.record_trajectory else None
 
     converged = False
     for rnd in range(1, opts.max_iters + 1):
         prev = p.copy()
         history.append(prev)
+        del history[:-1 - schedule.max_staleness]
         for q, view in _round_views(schedule, p, prev, history, rng):
             p[q], _ = best_response_powers(
                 ch.F, ch.sigma2, cfg.eps[q], view, q, cfg.P[q], cfg.pmax[q]
@@ -203,13 +198,10 @@ def write_trajectory_csv(result: EquilibriumResult, path):
     traj = result.trajectory
     deltas = np.concatenate(
         ([0.0], np.abs(np.diff(traj, axis=0)).max(axis=(1, 2)))
-    )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("round,user,frequency,power,residual\n")
-        for rnd in range(traj.shape[0]):
-            for q in range(traj.shape[1]):
-                for k in range(traj.shape[2]):
-                    fh.write(
-                        f"{rnd},{q + 1},{k + 1},"
-                        f"{traj[rnd, q, k]:.17g},{deltas[rnd]:.17g}\n"
-                    )
+    ).tolist()
+    write_csv(path, ["round", "user", "frequency", "power", "residual"], (
+        (rnd, q + 1, k + 1, power, deltas[rnd])
+        for rnd, profile in enumerate(traj.tolist())
+        for q, row in enumerate(profile)
+        for k, power in enumerate(row)
+    ))

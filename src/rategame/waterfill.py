@@ -18,6 +18,7 @@ from .core import (
     DomainError,
     GameConfig,
     InfeasibleError,
+    NumericalError,
     PowerProfile,
     interference_level,
     worst_case_interference,
@@ -70,6 +71,8 @@ def find_water_level(phi, P: float, pmax) -> float:
     (slope[:-1] * (b[1:] - b[:-1])).cumsum(out=filled[1:])
 
     j = int(filled.searchsorted(P))
+    if j == filled.size:  # rounding kept the fill below P
+        raise NumericalError("phi dwarfs the masks: the fill cannot reach P in floating point")
     if filled[j] == P:
         return float(b[j])
     return float(b[j - 1] + (P - filled[j - 1]) / slope[j - 1])

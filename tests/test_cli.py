@@ -1,4 +1,9 @@
+import contextlib
+import hashlib
+import io
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rategame import cli
 from rategame.cli import main
@@ -209,6 +214,33 @@ class TestInputValidation:
         assert err == ["error: --seed must be at least 0, got -1"]
         assert not out.exists()
 
+    def test_config_not_utf8_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[channels]\nQ 1\nN 1\nsigma2 * * 1\xff\n")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+    def test_bad_delta_refused_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the delta grid was checked")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        out = tmp_path / "out"
+        assert main(["experiment", "--users", "2", "--freqs", "2", "--delta-grid",
+                     "0:1:0.5", "--trials", "1", "--threads", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: delta must lie in [0, 1)"]
+        assert not out.exists()
+
+    def test_masks_lost_to_rounding_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "tiny.cfg"
+        path.write_text("[channels]\nQ 2\nN 2\nsigma2 * * 1e-300\n"
+                        "F 1 2 * 1e300\nF 2 1 * 1e300\n")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: phi dwarfs the masks")
+
     def test_huge_user_count_is_input_error(self, tmp_path, capsys):
         # Q*Q*N = 1e18 entries: refused before any array is built
         path = tmp_path / "huge.cfg"
@@ -241,3 +273,158 @@ class TestInputValidation:
         assert "exceeds the cap of 8" in err[0]
         assert not out.exists()
         assert run(2, 2) == 0  # 8 entries
+
+
+GENERATE_CONFIG = """\
+[generate]
+users 3
+freqs 8
+seed 7
+
+[game]
+eps * 0.02
+
+[solver]
+schedule random_async
+seed 1
+update_probability 0.5
+max_staleness 2
+tol 1e-8
+max_iters 300
+"""
+
+TWO_USER_BOUNDARY = [  # eps 0.05 and 0.1 fall outside the interior regime
+    "two-user", "--sigma2", "0.1", "--alpha", "0.3", "--m", "3.0",
+    "--eps-grid", "0:0.1:0.05",
+]
+
+
+def _pinned_output(case, tmp_path, capsys):
+    """Run one CLI case; return its exit code and the bytes it wrote."""
+    if case.endswith("fig1"):
+        cfg = write_fig1(tmp_path, eps=0.1)
+    else:
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(GENERATE_CONFIG)
+    out = tmp_path / "out"
+    if case.startswith("solve_out"):
+        code = main(["solve", str(cfg), "--out", str(out)])
+        return code, out.read_bytes()
+    if case.startswith("solve_stdout"):
+        code = main(["solve", str(cfg)])
+    elif case.startswith("check"):
+        code = main(["check", str(cfg)])
+    elif case == "two_user_out":
+        code = main(TWO_USER_BOUNDARY + ["--out", str(out)])
+        assert b",nan," in out.read_bytes()
+        return code, out.read_bytes()
+    elif case == "two_user_stdout":
+        code = main(TWO_USER_BOUNDARY)
+    else:
+        code = main([
+            "experiment", "--users", "2", "--freqs", "4", "--delta-grid", "0:0.4:0.2",
+            "--trials", "3", "--seed", "5", "--threads", "1", "--out", str(out),
+        ])
+        return code, (out / "summary.csv").read_bytes()
+    return code, capsys.readouterr().out.encode()
+
+
+# sha256 of every CLI output the other tests do not pin, recorded before the
+# writers shared one value formatter; a change to the number, boolean, NaN or
+# line formatting of any writer changes these bytes
+@pytest.mark.parametrize("case, code, digest", [
+    ("solve_out_fig1", 0,
+     "de4d7db2b596a74a93abfca05d18590377d9a493b4674d8eb6979d8f7589d41c"),
+    ("solve_stdout_fig1", 0,
+     "9a08bb9e648d698af3ae1a49eb55993d95154ad52d18ff5400c31cd60211a78a"),
+    ("solve_out_generate", 0,
+     "673ca44ecebf1bf8f532cee802410ec492d09026733365af3fb7b98f3ca35848"),
+    ("solve_stdout_generate", 0,
+     "8902877ac819da20a6f53e6fa9aee43b1b4d6838c4dd0b9f87b9e040667f22f4"),
+    ("check_fig1", 0,
+     "7df49ff85c7b45a0f123bb4b040fbc54522cd51884859d5140f5f0c5394874d6"),
+    ("check_generate", 3,
+     "728e5c504353d3035e9e508ff3d2bbfe9b98070839fb9caa134c3bedb08b8e39"),
+    ("two_user_out", 0,
+     "248e2f42f430d87c8cb550824c183e6729dc6b6a946c7afb2370da7fca3b1db8"),
+    ("two_user_stdout", 0,
+     "248e2f42f430d87c8cb550824c183e6729dc6b6a946c7afb2370da7fca3b1db8"),
+    ("experiment_summary", 0,
+     "9b69b0bb774c167fd5e5abae82e4b2641db361c838220db3826287d5bbecd94e"),
+])
+def test_pinned_output_bytes(tmp_path, capsys, case, code, digest):
+    got_code, data = _pinned_output(case, tmp_path, capsys)
+    assert got_code == code
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Config fuzzing. An example starts from a config that follows the grammar of
+# its sections and applies up to three mutations: a token turned odd or junk,
+# a token dropped or added, a stray header or a raw line of invalid UTF-8.
+# Q and N stay at most 4 and no odd token is a count between 5 and the cap,
+# so no game is large.
+JUNK = st.text(st.characters(blacklist_categories=("Zs", "Cc", "Nd")), min_size=1, max_size=4)
+ODD = st.one_of(JUNK, st.sampled_from(
+    ["0", "-1", "2.7", "1e30", "nan", "inf", "-inf", "1e300", "1e-300", "*", "é", "２"]))
+RAW = st.sampled_from([b"", b"# c", b"[", b"[junk]", b"[generate]", b"\xff\xfe", b"N 1 \x80"])
+
+
+@st.composite
+def config_text(draw):
+    Q, N = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    user = st.sampled_from(["*"] + [str(q) for q in range(1, Q + 1)])
+    freq = st.sampled_from(["*"] + [str(k) for k in range(1, N + 1)])
+    value = st.sampled_from(["0.001", "0.1", "0.5", "1", "2"])
+    pick = lambda *choices: draw(st.sampled_from(choices))  # noqa: E731
+    if draw(st.booleans()):
+        lines = [["[channels]"], ["Q", str(Q)], ["N", str(N)], ["sigma2", "*", "*", draw(value)]]
+        for _ in range(draw(st.integers(0, 3)) if Q > 1 else 0):
+            r, q = draw(st.permutations(range(1, Q + 1)))[:2]
+            lines.append(["F", str(r), str(q), draw(freq), pick("0", "0.05", "0.3", "1.5")])
+    else:
+        lines = [["[generate]"], ["users", str(Q)], ["freqs", str(N)]]
+        lines += draw(st.lists(st.sampled_from([
+            ["cross_variance", "0.2"], ["direct_variance", "2"], ["noise_power", "0.01"],
+            ["seed", "7"]]), max_size=3))
+    optional = {
+        "[game]": [["P", draw(user), draw(value)], ["eps", draw(user), pick("0", "0.05", "0.5")],
+                   ["pmax", draw(user), draw(freq), pick("0.5", "1", "2")]],
+        "[solver]": [["schedule", pick("jacobi", "gauss_seidel", "random_async")],
+                     ["seed", "3"], ["update_probability", "0.6"], ["max_staleness", "2"],
+                     ["tol", "1e-6"], ["max_iters", "50"]],
+    }
+    for header, entries in optional.items():
+        if draw(st.booleans()):
+            lines += [[header]] + draw(st.lists(st.sampled_from(entries), max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        mutation = pick("odd", "add", "drop", "raw")
+        if mutation == "raw" or isinstance(lines[i], bytes):
+            lines.insert(i, draw(RAW))
+            continue
+        tokens = lines[i] = list(lines[i])  # entries drawn twice share a list
+        j = draw(st.integers(0, len(tokens) - 1))
+        if mutation == "odd":
+            tokens[j] = draw(ODD)
+        elif mutation == "add":
+            tokens.insert(j, draw(ODD))
+        elif len(tokens) > 1:
+            del tokens[j]
+    return b"\n".join(
+        line if isinstance(line, bytes) else " ".join(line).encode() for line in lines
+    ) + b"\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(text=config_text())
+def test_fuzzed_config_ends_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "game.cfg"
+    path.write_bytes(text)
+    for argv in (["check", str(path)], ["solve", str(path), "--max-iters", "20"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -91,6 +91,19 @@ class TestSolve:
         )
         assert np.array_equal(jac.trajectory, asy.trajectory)
 
+    def test_staleness_beyond_the_rounds_run(self, rng):
+        # a view is at most max_iters rounds old, so any larger bound, even one
+        # past the machine word, gives the same iterates
+        ch, cfg = random_instance(rng, 3, 5, eps=0.1)
+        initial = default_initial_profile(ch, cfg)
+        opts = SolverOptions(max_iters=30, record_trajectory=True)
+        runs = [
+            solve(ch, cfg, initial, Schedule(kind="random_async", seed=2,
+                                             update_probability=0.6, max_staleness=d), opts)
+            for d in (30, 10**30)
+        ]
+        assert np.array_equal(runs[0].trajectory, runs[1].trajectory)
+
     def test_intermediate_profiles_feasible(self, rng):
         ch, cfg = random_instance(rng, 3, 6, eps=0.2)
         res = solve(ch, cfg, default_initial_profile(ch, cfg),

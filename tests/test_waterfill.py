@@ -7,6 +7,7 @@ from rategame import (
     DomainError,
     GameConfig,
     InfeasibleError,
+    NumericalError,
     PowerProfile,
     find_water_level,
     project_to_simplex,
@@ -38,6 +39,11 @@ class TestFindWaterLevel:
     def test_infeasible_masks(self):
         with pytest.raises(InfeasibleError):
             find_water_level([1.0, 1.0], 3.0, [1.0, 1.0])
+
+    def test_masks_lost_to_rounding(self):
+        # 1e300 + 1 == 1e300, so the fill stays 0 although the masks hold 2 > P
+        with pytest.raises(NumericalError, match="cannot reach P"):
+            find_water_level([1e300, 1e300], 1.0, [1.0, 1.0])
 
     @pytest.mark.parametrize("phi, P, pmax, message", [
         ([np.nan, 1.0], 1.0, [1.0, 1.0], "must be finite"),
