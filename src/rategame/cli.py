@@ -378,19 +378,14 @@ def cmd_experiment(args) -> int:
 
         pool = ProcessPoolExecutor(max_workers=args.threads)
     try:
-        all_records = []
-        summaries = []
-        for u in uncertainty:
-            records = run_trials(
-                gen, u, game, schedule, opts, trials=args.trials, pool=pool
-            )
-            all_records.extend(records)
-            summaries.extend(aggregate(records))
+        per_width = run_trials(gen, uncertainty, game, schedule, opts, args.trials, pool)
     finally:
         if pool is not None:
             pool.shutdown()
 
-    write_trial_csv(all_records, os.path.join(args.out, "trials.csv"), gen.Q, gen.N)
+    records = [record for width in per_width for record in width]
+    summaries = [row for width in per_width for row in aggregate(width)]
+    write_trial_csv(records, os.path.join(args.out, "trials.csv"), gen.Q, gen.N)
     write_summary_csv(summaries, os.path.join(args.out, "summary.csv"), gen.Q, gen.N)
     return EXIT_OK
 
@@ -451,8 +446,10 @@ def main(argv=None) -> int:
         # the seed reaches numpy.random.default_rng, which rejects negatives
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be at least 0, got {args.seed}")
-        return args.func(args)
-    except (GameError, OSError) as exc:
+        # inputs near the float range end here, not in numpy warnings
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (GameError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -47,20 +47,13 @@ def build_Smax(ch: ChannelSet, bin_sets) -> np.ndarray:
 
     bin_sets is one index collection per user; an empty intersection gives 0.
     """
-    Q = ch.Q
-    masks = []
-    for q in range(Q):
-        m = np.zeros(ch.N, dtype=bool)
-        m[np.asarray(list(bin_sets[q]), dtype=int)] = True
-        masks.append(m)
-    S = np.zeros((Q, Q))
-    for q in range(Q):
-        for r in range(Q):
-            if r == q:
-                continue
-            both = masks[q] & masks[r]
-            if both.any():
-                S[q, r] = ch.F[r, q, both].max()
+    masks = np.zeros((ch.Q, ch.N), dtype=bool)
+    for q in range(ch.Q):
+        masks[q, np.asarray(list(bin_sets[q]), dtype=int)] = True
+    both = masks[:, None, :] & masks[None, :, :]
+    # F is nonnegative, so a zero fill leaves every nonempty max unchanged
+    S = np.where(both, ch.F.transpose(1, 0, 2), 0.0).max(axis=2)
+    S[np.arange(ch.Q), np.arange(ch.Q)] = 0.0
     return S
 
 

@@ -1,9 +1,10 @@
 """Channel generation, relative-uncertainty model and the Monte-Carlo harness.
 
-Per trial three games are solved and scored on the TRUE channels:
+A trial draws the true channels once and spans the delta grid. Its games
+are solved and scored on the TRUE channels:
   robust   - noisy coefficients with the derived uncertainty bound,
   nominal  - the same noisy coefficients with the uncertainty ignored,
-  perfect  - the true coefficients (ideal CSI baseline).
+  perfect  - the true coefficients (ideal CSI baseline), solved once per trial.
 
 Reproducibility contract: (gen.seed, u.seed, schedule.seed, trials) determine
 every output byte. Per-trial generators are spawned as
@@ -132,6 +133,36 @@ def default_game_config(Q: int, N: int, P: float = 1.0, pmax: float = 1.0) -> Ga
     return GameConfig(P=np.full(Q, P), pmax=np.full((Q, N), pmax), eps=np.zeros(Q))
 
 
+def _sweep_trial(gen, uncertainty, cfg_template, schedule, opts, trial):
+    """One channel draw solved at every width; one record list per width.
+
+    The perfect game does not depend on delta: it is solved once, after the
+    first width's robust and nominal games, and its row is reused at every width.
+    """
+    true_ch = generate_channels(replace(gen, seed=_spawn_seed(gen.seed, trial)))
+    zeros = np.zeros(gen.Q)
+
+    def game(kind, ch, eps):
+        cfg = GameConfig(P=cfg_template.P, pmax=cfg_template.pmax, eps=eps)
+        report = build_report(ch, cfg)
+        result = solve(ch, cfg, default_initial_profile(ch, cfg), schedule, opts)
+        return dict(kind=kind, sum_rate_true=sum_rate(true_ch, result.profile),
+                    occupancy=occupancy_counts(result.profile, cfg.P),
+                    iterations=result.iterations, converged=result.converged,
+                    uniqueness_ok=report.uniqueness_holds)
+
+    per_width, perfect = [], None
+    for u in uncertainty:
+        nominal_ch, eps = perturb_channels(true_ch, replace(u, seed=_spawn_seed(u.seed, trial)))
+        rows = [game("robust", nominal_ch, eps), game("nominal", nominal_ch, zeros)]
+        perfect = perfect or game("perfect", true_ch, zeros)
+        rows.append(perfect)
+        included = all(r["converged"] for r in rows)
+        per_width.append([TrialRecord(trial=trial, delta=u.delta, included=included, **r)
+                          for r in rows])
+    return per_width
+
+
 def run_single_trial(
     gen: ChannelGenSpec,
     u: UncertaintySpec,
@@ -140,54 +171,27 @@ def run_single_trial(
     opts: SolverOptions,
     trial: int,
 ):
-    """The three solves of one trial, scored on the true channels."""
-    true_ch = generate_channels(replace(gen, seed=_spawn_seed(gen.seed, trial)))
-    nominal_ch, eps = perturb_channels(true_ch, replace(u, seed=_spawn_seed(u.seed, trial)))
-
-    games = {
-        "robust": (nominal_ch, eps),
-        "nominal": (nominal_ch, np.zeros(gen.Q)),
-        "perfect": (true_ch, np.zeros(gen.Q)),
-    }
-    rows = []
-    for kind in KINDS:
-        ch, eps_k = games[kind]
-        cfg = GameConfig(P=cfg_template.P, pmax=cfg_template.pmax, eps=eps_k)
-        report = build_report(ch, cfg)
-        result = solve(ch, cfg, default_initial_profile(ch, cfg), schedule, opts)
-        rows.append(
-            dict(
-                kind=kind,
-                sum_rate_true=sum_rate(true_ch, result.profile),
-                occupancy=occupancy_counts(result.profile, cfg.P),
-                iterations=result.iterations,
-                converged=result.converged,
-                uniqueness_ok=report.uniqueness_holds,
-            )
-        )
-    included = all(r["converged"] for r in rows)
-    return [
-        TrialRecord(trial=trial, delta=u.delta, included=included, **r) for r in rows
-    ]
+    """The three solves of one trial at one width, in KINDS order."""
+    return _sweep_trial(gen, [u], cfg_template, schedule, opts, trial)[0]
 
 
 def run_trials(
     gen: ChannelGenSpec,
-    u: UncertaintySpec,
+    uncertainty: list[UncertaintySpec],
     cfg_template: GameConfig = None,
     schedule: Schedule = None,
     opts: SolverOptions = None,
     trials: int = 1,
     pool=None,
 ):
-    """Monte-Carlo batch: `trials` independent channel draws, three solves each.
+    """Monte-Carlo sweep: `trials` channel draws, each solved at every width.
 
-    Trials with any non-convergent solve are kept in the record list but
-    marked excluded so averages stay apples-to-apples; the sufficient
-    uniqueness condition is recorded as data, not used as a filter (the
-    heavy-tailed fading law fails it: at Q=3, N=16 the C11 sweep fails it on
-    every draw, at every delta and for every kind, while most solves still
-    converge).
+    Returns one record list per UncertaintySpec, in (trial, kind) order.
+    Trials with any non-convergent solve are kept but marked excluded so
+    averages stay apples-to-apples; the sufficient uniqueness condition is
+    recorded as data, not used as a filter (the heavy-tailed fading law fails
+    it: at Q=3, N=16 the C11 sweep fails it on every draw, at every delta and
+    for every kind, while most solves still converge).
     """
     if cfg_template is None:
         cfg_template = default_game_config(gen.Q, gen.N)
@@ -195,10 +199,11 @@ def run_trials(
         schedule = Schedule(kind="gauss_seidel")
     if opts is None:
         opts = SolverOptions(tol=1e-8, max_iters=1000)
-    trial = partial(run_single_trial, gen, u, cfg_template, schedule, opts)
+    trial = partial(_sweep_trial, gen, uncertainty, cfg_template, schedule, opts)
     # both maps yield in trial order, which keeps the output deterministic
-    results = (map if pool is None else pool.map)(trial, range(trials))
-    return [record for records in results for record in records]
+    results = list((map if pool is None else pool.map)(trial, range(trials)))
+    return [[record for per_width in results for record in per_width[w]]
+            for w in range(len(uncertainty))]
 
 
 def aggregate(records):

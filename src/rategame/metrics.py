@@ -26,6 +26,7 @@ from .waterfill import waterfill_powers
 
 OCCUPANCY_FACTOR = 1e-6  # p(k) > factor * P_q counts as occupied
 BRUTEFORCE_POINT_CAP = 10_000_000
+FDMA_BIN_CAP = 20  # social_optimum_fdma enumerates 2^N assignments
 
 
 @dataclass(frozen=True)
@@ -163,41 +164,23 @@ def _fdma_profile(ch, cfg, owner):
 def social_optimum_fdma(ch: ChannelSet, cfg: GameConfig):
     """Best sum-rate over FDMA assignments of bins to the two users.
 
-    Exact enumeration of the 2^N assignments for N <= 20; a greedy single-bin
-    swap search above that, in which case the result is only a lower bound
-    and the third return value is False.
+    Exact enumeration of the 2^N assignments; refuses N beyond FDMA_BIN_CAP.
     """
     check_dims(ch, cfg)
     if ch.Q != 2:
         raise UnsupportedArityError("FDMA search is defined for Q = 2 only")
     N = ch.N
-
-    if N <= 20:
-        best_rate = -np.inf
-        best = None
-        for mask in range(2 ** N):
-            owner = np.array([(mask >> k) & 1 for k in range(N)])
-            p = _fdma_profile(ch, cfg, owner)
-            rate = sum_rate_array(ch.F, ch.sigma2, p)
-            if rate > best_rate:
-                best_rate = rate
-                best = p
-        return float(best_rate), PowerProfile(best), True
-
-    # local search: start from noise-favoring ownership, flip bins while it helps
-    owner = (ch.sigma2[1] < ch.sigma2[0]).astype(int)
-    rate = sum_rate_array(ch.F, ch.sigma2, _fdma_profile(ch, cfg, owner))
-    improved = True
-    sweeps = 0
-    while improved and sweeps < 200:
-        improved = False
-        sweeps += 1
-        for k in range(N):
-            owner[k] ^= 1
-            cand = sum_rate_array(ch.F, ch.sigma2, _fdma_profile(ch, cfg, owner))
-            if cand > rate + 1e-12:
-                rate = cand
-                improved = True
-            else:
-                owner[k] ^= 1
-    return float(rate), PowerProfile(_fdma_profile(ch, cfg, owner)), False
+    if N > FDMA_BIN_CAP:
+        raise DomainError(
+            f"FDMA search enumerates 2^N assignments; N = {N} exceeds the cap of {FDMA_BIN_CAP}"
+        )
+    best_rate = -np.inf
+    best = None
+    for mask in range(2 ** N):
+        owner = np.array([(mask >> k) & 1 for k in range(N)])
+        p = _fdma_profile(ch, cfg, owner)
+        rate = sum_rate_array(ch.F, ch.sigma2, p)
+        if rate > best_rate:
+            best_rate = rate
+            best = p
+    return float(best_rate), PowerProfile(best)

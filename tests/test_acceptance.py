@@ -412,11 +412,10 @@ def test_c11_monte_carlo_trends():
     deltas = [0.0, 0.2, 0.4, 0.6]
     schedule = Schedule(kind="gauss_seidel")
     opts = SolverOptions(tol=1e-8, max_iters=1000)
-    per_delta = {
-        d: run_trials(gen, UncertaintySpec(delta=d, seed=2025), schedule=schedule,
-                      opts=opts, trials=500)
-        for d in deltas
-    }
+    per_delta = dict(zip(deltas, run_trials(
+        gen, [UncertaintySpec(delta=d, seed=2025) for d in deltas], schedule=schedule,
+        opts=opts, trials=500,
+    )))
     # paired comparison per delta over that delta's included trials
     t_stats = {}
     for d in deltas[1:]:

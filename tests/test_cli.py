@@ -179,6 +179,12 @@ class TestExperimentCommand:
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
 
+FLOAT_RANGE_CHANNELS = (
+    "[channels]\nQ 2\nN 2\nsigma2 * * 1\nF 1 2 * 1e308\nF 2 1 * 1e308\n"
+    "[game]\nP * 1e300\npmax * * 1e308\n"
+)
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("value", ["2.7", "-2"], ids=["fractional", "negative"])
     def test_bad_user_count_is_input_error(self, tmp_path, capsys, value):
@@ -240,6 +246,18 @@ class TestInputValidation:
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: phi dwarfs the masks")
+
+    # inputs near the float range overflow inside numpy; that ends as one error line
+    @pytest.mark.parametrize("command, text", [
+        ("check", FLOAT_RANGE_CHANNELS), ("solve", FLOAT_RANGE_CHANNELS),
+        ("solve", "[generate]\nusers 2\nfreqs 2\ncross_variance 1e300\ndirect_variance 1e-300\n"),
+    ], ids=["check_channels", "solve_channels", "solve_generate"])
+    def test_float_range_is_input_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "big.cfg"
+        path.write_text(text)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_huge_user_count_is_input_error(self, tmp_path, capsys):
         # Q*Q*N = 1e18 entries: refused before any array is built
@@ -365,7 +383,8 @@ def test_pinned_output_bytes(tmp_path, capsys, case, code, digest):
 # so no game is large.
 JUNK = st.text(st.characters(blacklist_categories=("Zs", "Cc", "Nd")), min_size=1, max_size=4)
 ODD = st.one_of(JUNK, st.sampled_from(
-    ["0", "-1", "2.7", "1e30", "nan", "inf", "-inf", "1e300", "1e-300", "*", "é", "２"]))
+    ["0", "-1", "2.7", "1e30", "nan", "inf", "-inf", "1e300", "1e-300", "1e308", "5e-324",
+     "*", "é", "２"]))
 RAW = st.sampled_from([b"", b"# c", b"[", b"[junk]", b"[generate]", b"\xff\xfe", b"N 1 \x80"])
 
 
@@ -374,21 +393,23 @@ def config_text(draw):
     Q, N = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     user = st.sampled_from(["*"] + [str(q) for q in range(1, Q + 1)])
     freq = st.sampled_from(["*"] + [str(k) for k in range(1, N + 1)])
-    value = st.sampled_from(["0.001", "0.1", "0.5", "1", "2"])
+    value = st.sampled_from(["0.001", "0.1", "0.5", "1", "2", "1e300"])
     pick = lambda *choices: draw(st.sampled_from(choices))  # noqa: E731
     if draw(st.booleans()):
         lines = [["[channels]"], ["Q", str(Q)], ["N", str(N)], ["sigma2", "*", "*", draw(value)]]
         for _ in range(draw(st.integers(0, 3)) if Q > 1 else 0):
             r, q = draw(st.permutations(range(1, Q + 1)))[:2]
-            lines.append(["F", str(r), str(q), draw(freq), pick("0", "0.05", "0.3", "1.5")])
+            lines.append(["F", str(r), str(q), draw(freq),
+                          pick("0", "0.05", "0.3", "1.5", "1e308")])
     else:
         lines = [["[generate]"], ["users", str(Q)], ["freqs", str(N)]]
         lines += draw(st.lists(st.sampled_from([
             ["cross_variance", "0.2"], ["direct_variance", "2"], ["noise_power", "0.01"],
-            ["seed", "7"]]), max_size=3))
+            ["cross_variance", "1e300"], ["direct_variance", "1e-300"], ["seed", "7"]]),
+            max_size=3))
     optional = {
         "[game]": [["P", draw(user), draw(value)], ["eps", draw(user), pick("0", "0.05", "0.5")],
-                   ["pmax", draw(user), draw(freq), pick("0.5", "1", "2")]],
+                   ["pmax", draw(user), draw(freq), pick("0.5", "1", "2", "1e308")]],
         "[solver]": [["schedule", pick("jacobi", "gauss_seidel", "random_async")],
                      ["seed", "3"], ["update_probability", "0.6"], ["max_staleness", "2"],
                      ["tol", "1e-6"], ["max_iters", "50"]],

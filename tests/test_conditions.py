@@ -63,6 +63,20 @@ class TestBuildSmax:
         S = build_Smax(ch, [np.array([0]), np.array([1])])
         assert np.array_equal(S, np.zeros((2, 2)))
 
+    def test_matches_pairwise_loop_on_random_bin_sets(self, rng):
+        # entry by entry over the shared bins, empty sets and all-bin sets included
+        for _ in range(20):
+            Q, N = rng.integers(1, 6), rng.integers(2, 12)
+            ch, _ = random_instance(rng, Q, N, strength=0.8)
+            bin_sets = [np.flatnonzero(rng.random(N) < rng.random()) for _ in range(Q)]
+            expected = np.zeros((Q, Q))
+            for q in range(Q):
+                for r in range(Q):
+                    shared = np.intersect1d(bin_sets[q], bin_sets[r])
+                    if r != q and shared.size:
+                        expected[q, r] = ch.F[r, q, shared].max()
+            assert np.array_equal(build_Smax(ch, bin_sets), expected)
+
 
 class TestNeverUsedSet:
     def test_flat_noise_generous_masks(self):

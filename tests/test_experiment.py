@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from rategame import (
     perturb_channels,
     run_trials,
 )
-from rategame.experiment import TrialRecord, write_summary_csv, write_trial_csv
+from rategame import experiment, solver
+from rategame.experiment import (
+    KINDS,
+    TrialRecord,
+    default_game_config,
+    run_single_trial,
+    write_summary_csv,
+    write_trial_csv,
+)
 from rategame.solver import Schedule, SolverOptions
 
 
@@ -87,7 +96,7 @@ class TestPerturbChannels:
 class TestRunTrials:
     def test_zero_delta_kinds_coincide(self):
         gen = ChannelGenSpec(Q=2, N=6, seed=11)
-        records = run_trials(gen, UncertaintySpec(delta=0.0, seed=12), trials=3)
+        [records] = run_trials(gen, [UncertaintySpec(delta=0.0, seed=12)], trials=3)
         assert len(records) == 9
         by_trial = {}
         for r in records:
@@ -99,8 +108,8 @@ class TestRunTrials:
     def test_reproducible_and_scored_on_true_channels(self):
         gen = ChannelGenSpec(Q=2, N=6, seed=13)
         u = UncertaintySpec(delta=0.4, seed=14)
-        a = run_trials(gen, u, trials=4)
-        b = run_trials(gen, u, trials=4)
+        [a] = run_trials(gen, [u], trials=4)
+        [b] = run_trials(gen, [u], trials=4)
         for ra, rb in zip(a, b):
             assert ra.sum_rate_true == rb.sum_rate_true
             assert ra.iterations == rb.iterations
@@ -110,12 +119,82 @@ class TestRunTrials:
 
         gen = ChannelGenSpec(Q=2, N=6, seed=15)
         u = UncertaintySpec(delta=0.3, seed=16)
-        serial = run_trials(gen, u, trials=4)
+        [serial] = run_trials(gen, [u], trials=4)
         with ThreadPoolExecutor(max_workers=3) as pool:
-            parallel = run_trials(gen, u, trials=4, pool=pool)
+            [parallel] = run_trials(gen, [u], trials=4, pool=pool)
         for ra, rb in zip(serial, parallel):
             assert ra.trial == rb.trial and ra.kind == rb.kind
             assert ra.sum_rate_true == rb.sum_rate_true
+
+
+class TestSweep:
+    """One trial spans the delta grid and solves its perfect game once."""
+
+    C11_GEN = ChannelGenSpec(Q=3, N=16, seed=2024)
+    C11_WIDTHS = [UncertaintySpec(delta=d, seed=2025) for d in (0.0, 0.2, 0.4, 0.6)]
+    SCHEDULE = Schedule(kind="gauss_seidel")
+    OPTS = SolverOptions(tol=1e-8, max_iters=1000)
+
+    def test_sweep_matches_single_width_trials(self):
+        # trials 0-6 of the C11 sweep; trial 6 holds two nominal solves that
+        # stop at max_iters. Each single-width call solves its perfect game
+        # afresh, so the reused perfect row is checked against its own solve.
+        per_width = run_trials(self.C11_GEN, self.C11_WIDTHS, schedule=self.SCHEDULE,
+                               opts=self.OPTS, trials=7)
+        cfg = default_game_config(3, 16)
+        for u, records in zip(self.C11_WIDTHS, per_width):
+            assert [(r.trial, r.kind) for r in records] == [
+                (t, kind) for t in range(7) for kind in KINDS]
+            for trial in range(7):
+                single = run_single_trial(self.C11_GEN, u, cfg, self.SCHEDULE, self.OPTS, trial)
+                for a, b in zip(records[3 * trial:3 * trial + 3], single, strict=True):
+                    for field in fields(TrialRecord):
+                        assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"solve": [], "build_report": 0, "generate_channels": 0}
+
+        def solve(ch, cfg, *args):
+            result = solver.solve(ch, cfg, *args)
+            calls["solve"].append((ch, cfg, result))
+            return result
+
+        def counted(name):
+            original = getattr(experiment, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(experiment, "solve", solve)
+        for name in ("build_report", "generate_channels"):
+            monkeypatch.setattr(experiment, name, counted(name))
+        return calls
+
+    def test_solves_per_trial(self, monkeypatch):
+        # 1 + 2W solves and reports per W-width trial, one channel draw
+        calls = self._count_calls(monkeypatch)
+        gen = ChannelGenSpec(Q=2, N=6, seed=31)
+        run_trials(gen, self.C11_WIDTHS, trials=3)
+        assert len(calls["solve"]) == 3 * 9
+        assert calls["build_report"] == 3 * 9
+        assert calls["generate_channels"] == 3
+
+    def test_single_width_solves_in_kinds_order(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        gen = ChannelGenSpec(Q=2, N=6, seed=31)
+        records = run_single_trial(gen, UncertaintySpec(delta=0.4, seed=32),
+                                   default_game_config(2, 6), self.SCHEDULE, self.OPTS, 1)
+        assert [r.kind for r in records] == list(KINDS)
+        (rob_ch, rob_cfg, _), (nom_ch, nom_cfg, _), (per_ch, per_cfg, _) = calls["solve"]
+        true_ch = generate_channels(replace(gen, seed=np.random.SeedSequence([31, 1])))
+        assert np.all(rob_cfg.eps > 0) and nom_ch is rob_ch and not nom_cfg.eps.any()
+        assert np.array_equal(per_ch.F, true_ch.F) and not per_cfg.eps.any()
+        assert not np.array_equal(nom_ch.F, true_ch.F)
+        for rec, (_, _, result) in zip(records, calls["solve"]):
+            assert (rec.iterations, rec.converged) == (result.iterations, result.converged)
 
 
 def record(kind="robust", trial=0, sum_rate=1.0, included=True):
@@ -163,7 +242,7 @@ class TestCsvOutputs:
         u = UncertaintySpec(delta=0.2, seed=22)
         paths = []
         for tag in ("a", "b"):
-            records = run_trials(gen, u, trials=3)
+            [records] = run_trials(gen, [u], trials=3)
             trial_path = tmp_path / f"trials_{tag}.csv"
             summary_path = tmp_path / f"summary_{tag}.csv"
             write_trial_csv(records, trial_path, 2, 4)
@@ -174,7 +253,7 @@ class TestCsvOutputs:
 
     def test_headers(self, tmp_path):
         gen = ChannelGenSpec(Q=2, N=4, seed=23)
-        records = run_trials(gen, UncertaintySpec(delta=0.0, seed=1), trials=1)
+        [records] = run_trials(gen, [UncertaintySpec(delta=0.0, seed=1)], trials=1)
         out = tmp_path / "t.csv"
         write_trial_csv(records, out, 2, 4)
         head = out.read_text().splitlines()[0]
@@ -186,14 +265,13 @@ class TestCsvOutputs:
     def test_pinned_c11_bytes(self, tmp_path):
         # trials 0-6 of the C11 sweep; trial 6 holds the two nominal solves
         # at delta 0.4 and 0.6 that stop at max_iters, so the cap is covered
-        gen = ChannelGenSpec(Q=3, N=16, seed=2024)
-        records = []
-        for delta in (0.0, 0.2, 0.4, 0.6):
-            records += run_trials(
-                gen, UncertaintySpec(delta=delta, seed=2025),
-                schedule=Schedule(kind="gauss_seidel"),
-                opts=SolverOptions(tol=1e-8, max_iters=1000), trials=7,
-            )
+        per_width = run_trials(
+            ChannelGenSpec(Q=3, N=16, seed=2024),
+            [UncertaintySpec(delta=delta, seed=2025) for delta in (0.0, 0.2, 0.4, 0.6)],
+            schedule=Schedule(kind="gauss_seidel"),
+            opts=SolverOptions(tol=1e-8, max_iters=1000), trials=7,
+        )
+        records = [record for width in per_width for record in width]
         capped = [(r.trial, r.kind, r.delta) for r in records if r.iterations == 1000]
         assert capped == [(6, "nominal", 0.4), (6, "nominal", 0.6)]
         out = tmp_path / "trials.csv"

@@ -132,8 +132,7 @@ class TestFdmaOptimum:
     def test_symmetric_high_interference(self):
         ch = flat_two_user(2, 0.1, 1.2, 1.2)
         cfg = GameConfig(P=[1.0, 1.0], pmax=[[1.0, 1.0]] * 2, eps=[0.0, 0.0])
-        rate, prof, exact = social_optimum_fdma(ch, cfg)
-        assert exact
+        rate, prof = social_optimum_fdma(ch, cfg)
         assert rate == pytest.approx(2 * np.log(1 + 1 / 0.1), rel=1e-12)
         assert np.count_nonzero(prof.p[0] * prof.p[1]) == 0
 
@@ -142,15 +141,13 @@ class TestFdmaOptimum:
         sigma2 = np.array([[2.0], [0.5]])
         ch = ChannelSet(F=F, sigma2=sigma2)
         cfg = GameConfig(P=[1.0, 1.0], pmax=[[1.5], [1.5]], eps=[0.0, 0.0])
-        rate, prof, exact = social_optimum_fdma(ch, cfg)
-        assert exact
+        rate, prof = social_optimum_fdma(ch, cfg)
         assert rate == pytest.approx(np.log(1 + 1 / 0.5), rel=1e-12)
         assert prof.p[0, 0] == 0.0 and prof.p[1, 0] == pytest.approx(1.0)
 
     def test_beats_every_assignment_enumerated(self, rng):
         ch, cfg = random_instance(rng, 2, 4, strength=0.8)
-        best, _, exact = social_optimum_fdma(ch, cfg)
-        assert exact
+        best, _ = social_optimum_fdma(ch, cfg)
         from rategame.core import sum_rate_array
         from rategame.metrics import _fdma_profile
 
@@ -165,3 +162,10 @@ class TestOccupancy:
         prof = PowerProfile([[0.5, 1e-9, 0.5], [0.2, 0.3, 0.5]])
         counts = occupancy_counts(prof, [1.0, 1.0])
         assert np.array_equal(counts, [2, 3])
+
+    def test_more_bins_than_the_cap_refused(self):
+        # 2^21 assignments: refused before any is enumerated
+        ch = flat_two_user(21, 0.1, 1.2, 1.2)
+        cfg = GameConfig(P=[1.0, 1.0], pmax=[[1.0] * 21] * 2, eps=[0.0, 0.0])
+        with pytest.raises(DomainError, match="N = 21 exceeds the cap of 20"):
+            social_optimum_fdma(ch, cfg)
