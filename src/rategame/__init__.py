@@ -24,7 +24,6 @@ from .core import (
     worst_case_interference,
 )
 from .waterfill import (
-    BestResponse,
     find_water_level,
     project_to_simplex,
     projection_residual,

@@ -331,14 +331,17 @@ def _parse_grid(text):
 
 
 def cmd_two_user(args) -> int:
+    grid = _parse_grid(args.eps_grid)
+    base = AntiSymSystem(alpha=args.alpha, m=args.m, sigma2=args.sigma2)
+    ch = antisym_channels(base)  # eps moves neither the channels nor the optimum
+    s_opt, _ = social_optimum_bruteforce(ch, antisym_config(base),
+                                         grid_resolution=args.grid_resolution)
     rows = []
-    for eps in _parse_grid(args.eps_grid):
-        system = AntiSymSystem(alpha=args.alpha, m=args.m, sigma2=args.sigma2, eps=eps)
-        ch = antisym_channels(system)
+    for eps in grid:
+        system = replace(base, eps=eps)
         game = antisym_config(system)
         result = solve(
-            ch, game, default_initial_profile(ch, game),
-            Schedule(kind="jacobi", seed=args.seed),
+            ch, game, default_initial_profile(ch, game), Schedule(kind="jacobi"),
             SolverOptions(tol=args.tol, max_iters=args.max_iters),
         )
         p_solver = float(result.profile.p[0, 0])
@@ -349,7 +352,6 @@ def cmd_two_user(args) -> int:
             p_closed = float("nan")
             regime = "boundary"
         s_eq = sum_rate(ch, result.profile)
-        s_opt, _ = social_optimum_bruteforce(ch, game, grid_resolution=args.grid_resolution)
         rows.append((eps, p_closed, p_solver, s_eq, price_of_anarchy(s_opt, s_eq), regime))
 
     header = ["eps", "p_closed_form", "p_solver", "sum_rate", "poa_vs_bruteforce", "regime"]
@@ -359,6 +361,8 @@ def cmd_two_user(args) -> int:
 
 def cmd_experiment(args) -> int:
     _check_channel_size(args.users, args.freqs, "--users/--freqs")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     # every delta is checked before the output directory or any trial exists
     uncertainty = [
         UncertaintySpec(delta=delta, seed=args.seed + 1) for delta in _parse_grid(args.delta_grid)
@@ -368,7 +372,7 @@ def cmd_experiment(args) -> int:
         noise_power=args.noise_power,
     )
     game = default_game_config(args.users, args.freqs)
-    schedule = Schedule(kind="gauss_seidel", seed=args.seed)
+    schedule = Schedule(kind="gauss_seidel")  # draws no random numbers
     opts = SolverOptions(tol=args.tol, max_iters=args.max_iters)
     os.makedirs(args.out, exist_ok=True)
 
@@ -390,8 +394,15 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 1, one line), not SystemExit(2)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rategame",
         description="Robust rate-maximization games: equilibria, conditions, experiments.",
     )
@@ -417,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_two.add_argument("--m", type=float, required=True)
     p_two.add_argument("--eps-grid", dest="eps_grid", required=True, help="start:stop:step")
     p_two.add_argument("--grid-resolution", dest="grid_resolution", type=float, default=None)
-    p_two.add_argument("--seed", type=int, default=0)
     p_two.add_argument("--tol", type=float, default=1e-12)
     p_two.add_argument("--max-iters", dest="max_iters", type=int, default=100_000)
     p_two.add_argument("--out", help="CSV output path (default stdout)")
@@ -440,9 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # the seed reaches numpy.random.default_rng, which rejects negatives
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be at least 0, got {args.seed}")

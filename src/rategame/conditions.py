@@ -5,9 +5,10 @@ schedule converges, whenever rho(S^max) < 1 - rho(E): S^max is the
 worst-case cross-coupling over the bins two users can share and E carries
 the uncertainty bounds (Scutari, Palomar & Barbarossa, IEEE Trans. IT
 54(7), 2008). Entry (q, r) of either matrix is the influence of user r on
-user q. Spectral radii and the Perron direction come from LAPACK
-(numpy.linalg.eigvals / eig); the empirical check measures the contraction
-of the same best-response map the solver iterates.
+user q. Spectral radii come from LAPACK (numpy.linalg.eigvals). The
+contraction modulus and the empirical check use unit weights; the check
+measures the contraction of the same best-response map the solver
+iterates.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ class ConditionReport:
     rho_Smax: float
     uniqueness_holds: bool       # rho(Smax) < 1 - rho(E), strict
     uniform_eps_margin: float    # 1 - eps(Q-1) - rho(Smax); None unless eps uniform
-    contraction_modulus: float   # weighted max-row-sum norm of Smax + E
-    weights: np.ndarray
+    contraction_modulus: float   # max row sum of Smax + E
 
 
 def build_E(cfg: GameConfig) -> np.ndarray:
@@ -95,35 +95,18 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def contraction_modulus(Smax, E, w) -> float:
-    """Weighted max-row-sum norm of Smax + E: max_q (1/w_q) sum_r M_qr w_r."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0):
-        raise DomainError("weights must be positive")
+def contraction_modulus(Smax, E) -> float:
+    """Max-row-sum norm of Smax + E: max_q sum_r M_qr."""
     M = np.abs(np.asarray(Smax, dtype=float) + np.asarray(E, dtype=float))
-    return float(np.max((M @ w) / w))
-
-
-def perron_weights(M) -> np.ndarray:
-    """Positive right eigenvector of a nonnegative matrix (Perron direction).
-
-    Taken from the eigenvalue with the largest real part, which is the Perron
-    root, and scaled to a largest entry of 1; returns the all-ones vector when
-    the matrix is reducible enough to yield zero entries.
-    """
-    vals, vecs = np.linalg.eig(np.asarray(M, dtype=float))
-    v = vecs[:, np.argmax(vals.real)].real
-    v = v / v[np.argmax(np.abs(v))]
-    if np.any(v <= 1e-12):
-        return np.ones(v.shape[0])
-    return v
+    # a product with ones, not .sum(axis=1): the two differ in the last bit
+    return float(np.max(M @ np.ones(M.shape[0])))
 
 
 def build_report(ch: ChannelSet, cfg: GameConfig, bin_sets=None) -> ConditionReport:
     """Assemble E and S^max, their radii, the verdict and the contraction modulus.
 
     bin_sets defaults to the never-used-set complements; pass full_bin_sets(ch)
-    for the most conservative check. The modulus uses unit weights.
+    for the most conservative check.
     """
     check_dims(ch, cfg)
     if bin_sets is None:
@@ -136,7 +119,6 @@ def build_report(ch: ChannelSet, cfg: GameConfig, bin_sets=None) -> ConditionRep
     margin = None
     if np.all(eps == eps[0]):
         margin = float(1.0 - eps[0] * (cfg.Q - 1) - rho_S)
-    w = np.ones(cfg.Q)
     return ConditionReport(
         E=E,
         Smax=Smax,
@@ -144,14 +126,13 @@ def build_report(ch: ChannelSet, cfg: GameConfig, bin_sets=None) -> ConditionRep
         rho_Smax=float(rho_S),
         uniqueness_holds=bool(rho_S < 1.0 - rho_E),
         uniform_eps_margin=margin,
-        contraction_modulus=contraction_modulus(Smax, E, w),
-        weights=w,
+        contraction_modulus=contraction_modulus(Smax, E),
     )
 
 
-def block_norm(mat, w) -> float:
-    """Weighted block-maximum norm: max_q ||row q||_2 / w_q."""
-    return float(np.max(np.linalg.norm(mat, axis=1) / w))
+def block_norm(mat) -> float:
+    """Block-maximum norm: max_q ||row q||_2."""
+    return float(np.max(np.linalg.norm(mat, axis=1)))
 
 
 def empirical_contraction_check(
@@ -160,22 +141,21 @@ def empirical_contraction_check(
     """Worst observed block-norm ratio of the waterfilling map over random pairs.
 
     Samples pairs of feasible profiles and measures
-    ||WF(p1) - WF(p2)|| / ||p1 - p2|| in the weighted block-maximum norm.
+    ||WF(p1) - WF(p2)|| / ||p1 - p2|| in the block-maximum norm.
     The ratio never exceeds the contraction modulus taken over all bins.
     """
     check_dims(ch, cfg)
-    w = np.ones(cfg.Q)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         p1 = random_feasible_profile(cfg, rng).p
         p2 = random_feasible_profile(cfg, rng).p
-        den = block_norm(p1 - p2, w)
+        den = block_norm(p1 - p2)
         if den == 0.0:
             continue
         wf1, _ = best_responses(ch, cfg, p1)
         wf2, _ = best_responses(ch, cfg, p2)
-        worst = max(worst, block_norm(wf1 - wf2, w) / den)
+        worst = max(worst, block_norm(wf1 - wf2) / den)
     return worst
 
 
@@ -192,7 +172,7 @@ def report_to_text(report: ConditionReport) -> str:
     if report.uniform_eps_margin is not None:
         entries.append(("uniform_eps_margin", report.uniform_eps_margin))
     entries.append(("contraction_modulus", report.contraction_modulus))
-    entries += [(f"w[{q + 1}]", report.weights[q]) for q in range(Q)]
+    entries += [(f"w[{q + 1}]", 1.0) for q in range(Q)]  # the modulus's unit weights
     for name in ("E", "Smax"):
         M = getattr(report, name)
         entries += [(f"{name}[{q + 1},{r + 1}]", M[q, r])

@@ -128,7 +128,11 @@ class GameConfig:
             raise DomainError("spectral masks must be nonnegative")
         if np.any(eps < 0):
             raise DomainError("uncertainty bounds must be nonnegative")
-        if np.any(pmax.sum(axis=1) <= P):
+        with np.errstate(over="ignore"):  # masks near the float range sum to inf
+            mask_total = pmax.sum(axis=1)
+        if not np.isfinite(mask_total).all():
+            raise DomainError("spectral masks must have a finite sum per user")
+        if np.any(mask_total <= P):
             raise InfeasibleError("need sum_k pmax[q, k] > P[q] for every user")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "pmax", pmax)

@@ -129,8 +129,9 @@ def _spawn_seed(base: int, trial: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(base), int(trial)])
 
 
-def default_game_config(Q: int, N: int, P: float = 1.0, pmax: float = 1.0) -> GameConfig:
-    return GameConfig(P=np.full(Q, P), pmax=np.full((Q, N), pmax), eps=np.zeros(Q))
+def default_game_config(Q: int, N: int) -> GameConfig:
+    """Unit budgets and unit masks, no uncertainty."""
+    return GameConfig(P=np.ones(Q), pmax=np.ones((Q, N)), eps=np.zeros(Q))
 
 
 def _sweep_trial(gen, uncertainty, cfg_template, schedule, opts, trial):

@@ -41,10 +41,10 @@ class PartitionProfile:
     occupied_counts: np.ndarray
 
 
-def occupancy_counts(profile: PowerProfile, P, factor: float = OCCUPANCY_FACTOR):
-    """Number of bins per user with power above factor * P_q."""
+def occupancy_counts(profile: PowerProfile, P):
+    """Number of bins per user with power above OCCUPANCY_FACTOR * P_q."""
     P = np.asarray(P, dtype=float)
-    return (profile.p > factor * P[:, None]).sum(axis=1)
+    return (profile.p > OCCUPANCY_FACTOR * P[:, None]).sum(axis=1)
 
 
 def partition_measure(profile: PowerProfile, P_T: float) -> PartitionProfile:

@@ -71,7 +71,6 @@ class EquilibriumResult:
     iterations: int
     residual: float
     converged: bool
-    schedule: Schedule
     trajectory: np.ndarray = None  # (rounds + 1, Q, N) when recorded
 
 
@@ -177,7 +176,6 @@ def solve(
         iterations=rnd,
         residual=residual,
         converged=converged,
-        schedule=schedule,
         trajectory=np.asarray(trajectory) if trajectory is not None else None,
     )
 

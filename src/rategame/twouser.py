@@ -64,17 +64,14 @@ def antisym_channels(sys: AntiSymSystem) -> ChannelSet:
     return ChannelSet(F=F, sigma2=np.full((2, 2), sys.sigma2))
 
 
-def antisym_config(sys: AntiSymSystem, P_T: float = 1.0, pmax: float = 1.0) -> GameConfig:
-    return GameConfig(
-        P=np.full(2, P_T),
-        pmax=np.full((2, 2), pmax),
-        eps=np.full(2, sys.eps),
-    )
+def antisym_config(sys: AntiSymSystem) -> GameConfig:
+    """Unit budgets and unit masks, which every closed form here assumes."""
+    return GameConfig(P=np.ones(2), pmax=np.ones((2, 2)), eps=np.full(2, sys.eps))
 
 
-def antisym_profile(p: float, P_T: float = 1.0) -> PowerProfile:
+def antisym_profile(p: float) -> PowerProfile:
     """Symmetric-family profile: user 1 puts p on bin 1, user 2 mirrors it."""
-    return PowerProfile(P_T * np.array([[p, 1.0 - p], [1.0 - p, p]]))
+    return PowerProfile(np.array([[p, 1.0 - p], [1.0 - p, p]]))
 
 
 def _require_interior(sys: AntiSymSystem, p: float):

@@ -9,8 +9,6 @@ Euclidean projection of -Phi onto the admissible set
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -23,18 +21,6 @@ from .core import (
     interference_level,
     worst_case_interference,
 )
-
-MASK_CLASSIFY_TOL = 1e-12  # diagnostic classification only, never feeds back
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    """Waterfilling output for one user: powers, water level and bin classes."""
-
-    powers: np.ndarray
-    mu: float
-    active_set: np.ndarray   # bins with 0 < p(k) < pmax(k)
-    clipped_set: np.ndarray  # bins at the mask
 
 
 def find_water_level(phi, P: float, pmax) -> float:
@@ -112,18 +98,10 @@ def best_responses(ch: ChannelSet, cfg: GameConfig, p):
     return out, mus
 
 
-def robust_best_response(
-    ch: ChannelSet, cfg: GameConfig, profile: PowerProfile, q: int
-) -> BestResponse:
-    """Best response of user q to the others' powers under worst-case interference."""
+def robust_best_response(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile, q: int):
+    """Powers and water level of user q's best response under worst-case interference."""
     phi = worst_case_interference(ch, cfg, profile, q)
-    if not np.all(np.isfinite(phi)):
-        raise DomainError("non-finite worst-case interference")
-    powers, mu = waterfill_powers(phi, cfg.P[q], cfg.pmax[q])
-    pmax_q = cfg.pmax[q]
-    clipped = np.flatnonzero(powers >= pmax_q - MASK_CLASSIFY_TOL)
-    active = np.flatnonzero((powers > 0.0) & (powers < pmax_q - MASK_CLASSIFY_TOL))
-    return BestResponse(powers=powers, mu=float(mu), active_set=active, clipped_set=clipped)
+    return waterfill_powers(phi, cfg.P[q], cfg.pmax[q])
 
 
 def random_feasible_profile(cfg: GameConfig, rng) -> PowerProfile:

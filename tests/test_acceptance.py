@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rategame import (
     ChannelSet,
@@ -34,6 +35,7 @@ from rategame import (
     social_optimum_bruteforce,
     solve,
     split_sum_rate,
+    split_sum_rate_slope,
     sum_rate,
 )
 from rategame.cli import main
@@ -214,6 +216,37 @@ def test_c06_uncertainty_trends_high_and_low_interference():
         increasing and decreasing,
         f"(high diffs {np.diff(high).min():.2e}, low diffs {np.diff(low).max():.2e})",
     )
+
+
+# C4-C6 fix their systems; this draws interior anti-symmetric systems from
+# the whole regime: m in [1.05, 6], sigma2 in [1e-3, 10], alpha in
+# [0.005, 0.6], eps in [0, 0.3], keeping those whose split is interior.
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(
+    m=st.floats(1.05, 6.0),
+    sigma2=st.floats(1e-3, 10.0),
+    alpha=st.floats(0.005, 0.6),
+    eps=st.floats(0.0, 0.3),
+    solve_it=st.integers(0, 9),
+)
+def test_two_user_claims_across_interior_regime(m, sigma2, alpha, eps, solve_it):
+    sys = AntiSymSystem(alpha=alpha, m=m, sigma2=sigma2, eps=eps)
+    try:
+        p = interior_p(sys)
+    except RegimeError:
+        assume(False)
+    dp_deps = interior_dp_deps(sys)
+    # uncertainty pushes the split toward FDMA whenever the channel is not symmetric
+    assert dp_deps > 0
+    # the sum rate rises with eps exactly above the critical interference level
+    dsum_deps = split_sum_rate_slope(alpha, m, sigma2, p) * dp_deps
+    assert np.sign(dsum_deps) == np.sign(alpha - alpha_crit(m, sigma2))
+    if solve_it == 0:  # the solver on a subset: about one example in ten
+        ch, cfg = antisym_channels(sys), antisym_config(sys)
+        res = solve(ch, cfg, default_initial_profile(ch, cfg),
+                    Schedule(kind="jacobi"), SolverOptions(tol=1e-12))
+        assert res.converged
+        assert abs(res.profile.p[0, 0] - p) <= 1e-8
 
 
 def _flat_noise_instance(rng, N, eps):

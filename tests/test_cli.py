@@ -205,19 +205,66 @@ class TestInputValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: grid ")
 
-    @pytest.mark.parametrize("command", ["solve", "two-user", "experiment"])
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
     def test_negative_seed_is_input_error(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         argv = {
             "solve": ["solve", str(write_fig1(tmp_path))],
-            "two-user": ["two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2.0",
-                         "--eps-grid", "0:0.1:0.05", "--out", str(out)],
             "experiment": ["experiment", "--users", "2", "--freqs", "4",
                            "--delta-grid", "0:0:0.2", "--trials", "1", "--out", str(out)],
         }[command]
         assert main(argv + ["--seed", "-1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --seed must be at least 0, got -1"]
+        assert not out.exists()
+
+    # argparse's own errors exit 1 with one line, like every other input error
+    @pytest.mark.parametrize("argv, message", [
+        (["solve"], "rategame solve: the following arguments are required: config"),
+        (["solve", "x.cfg", "--max-iters", "ten"],
+         "rategame solve: argument --max-iters: invalid int value: 'ten'"),
+        (["solve", "x.cfg", "--bogus"], "rategame: unrecognized arguments: --bogus"),
+        (["check"], "rategame check: the following arguments are required: config"),
+        (["check", "x.cfg", "--bogus"], "rategame: unrecognized arguments: --bogus"),
+        (["two-user", "--sigma2", "0.1", "--m", "2", "--eps-grid", "0:0:1"],
+         "rategame two-user: the following arguments are required: --alpha"),
+        (["two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2", "--eps-grid", "0:0:1",
+          "--max-iters", "1.5"],
+         "rategame two-user: argument --max-iters: invalid int value: '1.5'"),
+        (["two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2", "--eps-grid", "0:0:1",
+          "--seed", "-1"], "rategame: unrecognized arguments: --seed -1"),
+        (["experiment", "--users", "2", "--delta-grid", "0:0:1", "--out", "o"],
+         "rategame experiment: the following arguments are required: --freqs"),
+        (["experiment", "--users", "2", "--freqs", "x", "--delta-grid", "0:0:1", "--out", "o"],
+         "rategame experiment: argument --freqs: invalid int value: 'x'"),
+        (["experiment", "--users", "2", "--freqs", "2", "--delta-grid", "0:0:1", "--out", "o",
+          "--bogus"], "rategame: unrecognized arguments: --bogus"),
+        ([], "rategame: the following arguments are required: command"),
+    ], ids=["solve-missing", "solve-bad_int", "solve-unknown", "check-missing",
+            "check-unknown", "two-user-missing", "two-user-bad_int", "two-user-unknown",
+            "experiment-missing", "experiment-bad_int", "experiment-unknown", "no_command"])
+    def test_usage_error_is_input_error(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "check", "two-user", "experiment"])
+    def test_help_still_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: rategame {command}")
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_refused(self, tmp_path, capsys, trials):
+        out = tmp_path / "out"
+        assert main(["experiment", "--users", "2", "--freqs", "2", "--delta-grid", "0:0:0.2",
+                     "--trials", trials, "--threads", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: --trials must be at least 1, got {trials}"]
         assert not out.exists()
 
     def test_config_not_utf8_is_input_error(self, tmp_path, capsys):
@@ -247,17 +294,24 @@ class TestInputValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: phi dwarfs the masks")
 
-    # inputs near the float range overflow inside numpy; that ends as one error line
-    @pytest.mark.parametrize("command, text", [
-        ("check", FLOAT_RANGE_CHANNELS), ("solve", FLOAT_RANGE_CHANNELS),
-        ("solve", "[generate]\nusers 2\nfreqs 2\ncross_variance 1e300\ndirect_variance 1e-300\n"),
+    # inputs near the float range overflow; that ends as one error line, which
+    # names the file and section where GameConfig sees the overflow (the masks'
+    # row sum); an overflowing channel draw still ends in numpy's own text
+    MASK_SUM_ERROR = ("error: {path}: [game] invalid: "
+                      "spectral masks must have a finite sum per user")
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("check", FLOAT_RANGE_CHANNELS, MASK_SUM_ERROR),
+        ("solve", FLOAT_RANGE_CHANNELS, MASK_SUM_ERROR),
+        ("solve", "[generate]\nusers 2\nfreqs 2\ncross_variance 1e300\ndirect_variance 1e-300\n",
+         "error: "),
     ], ids=["check_channels", "solve_channels", "solve_generate"])
-    def test_float_range_is_input_error(self, tmp_path, capsys, command, text):
+    def test_float_range_is_input_error(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "big.cfg"
         path.write_text(text)
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith(message.format(path=path))
 
     def test_huge_user_count_is_input_error(self, tmp_path, capsys):
         # Q*Q*N = 1e18 entries: refused before any array is built

@@ -16,7 +16,7 @@ from rategame import (
     full_bin_sets,
     spectral_radius,
 )
-from rategame.conditions import perron_weights, report_to_text
+from rategame.conditions import report_to_text
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config
 
 from conftest import random_instance
@@ -144,24 +144,14 @@ class TestContractionModulus:
     def test_unit_weights_row_sum(self):
         S = np.array([[0.0, 0.25], [0.15, 0.0]])
         E = np.array([[0.0, 0.05], [0.05, 0.0]])
-        assert contraction_modulus(S, E, np.ones(2)) == pytest.approx(0.3)
+        assert contraction_modulus(S, E) == pytest.approx(0.3)
 
     def test_zero_matrix(self):
-        assert contraction_modulus(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(2)) == 0.0
+        assert contraction_modulus(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
 
     def test_hand_sums(self):
         M = np.array([[0.0, 0.3], [0.2, 0.0]])
-        assert contraction_modulus(M, np.zeros((2, 2)), np.ones(2)) == pytest.approx(0.3)
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(DomainError):
-            contraction_modulus(np.zeros((2, 2)), np.zeros((2, 2)), [1.0, 0.0])
-
-    def test_perron_weighting_not_larger_than_ones_for_uniform(self):
-        M = np.array([[0.0, 0.4], [0.4, 0.0]])
-        w = perron_weights(M)
-        assert np.all(w > 0)
-        assert contraction_modulus(M, np.zeros((2, 2)), w) == pytest.approx(0.4)
+        assert contraction_modulus(M, np.zeros((2, 2))) == pytest.approx(0.3)
 
 
 class TestReport:

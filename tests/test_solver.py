@@ -129,9 +129,8 @@ class TestSolve:
         res = solve(ch, cfg, default_initial_profile(ch, cfg),
                     Schedule(kind="jacobi"),
                     SolverOptions(tol=1e-12, record_trajectory=True))
-        w = np.ones(cfg.Q)
         steps = [
-            block_norm(res.trajectory[i + 1] - res.trajectory[i], w)
+            block_norm(res.trajectory[i + 1] - res.trajectory[i])
             for i in range(res.trajectory.shape[0] - 1)
         ]
         for prev, cur in zip(steps[3:], steps[4:]):
@@ -169,8 +168,8 @@ class TestFixedPointResidual:
     def test_single_user_one_application_is_fixed(self, rng):
         ch, cfg = random_instance(rng, 1, 5)
         prof = default_initial_profile(ch, cfg)
-        br = robust_best_response(ch, cfg, prof, 0)
-        fixed = PowerProfile(br.powers[None, :])
+        powers, _ = robust_best_response(ch, cfg, prof, 0)
+        fixed = PowerProfile(powers[None, :])
         assert fixed_point_residual(ch, cfg, fixed) <= 1e-12
 
 

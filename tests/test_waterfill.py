@@ -132,20 +132,17 @@ class TestRobustBestResponse:
         F = np.zeros((1, 1, 2))
         ch = ChannelSet(F=F, sigma2=[[1.0, 1.0]])
         cfg = GameConfig(P=[1.0], pmax=[[1.0, 1.0]], eps=[0.0])
-        br = robust_best_response(ch, cfg, PowerProfile([[0.5, 0.5]]), 0)
-        assert br.powers == pytest.approx([0.5, 0.5])
-        assert br.mu == pytest.approx(1.5)
-        assert list(br.active_set) == [0, 1]
-        assert list(br.clipped_set) == []
+        powers, mu = robust_best_response(ch, cfg, PowerProfile([[0.5, 0.5]]), 0)
+        assert powers == pytest.approx([0.5, 0.5])
+        assert mu == pytest.approx(1.5)
 
     def test_clip_boundary(self):
         F = np.zeros((1, 1, 2))
         ch = ChannelSet(F=F, sigma2=[[1.0, 2.0]])
         cfg = GameConfig(P=[1.0], pmax=[[1.0, 1.0]], eps=[0.0])
-        br = robust_best_response(ch, cfg, PowerProfile([[0.5, 0.5]]), 0)
-        assert br.powers == pytest.approx([1.0, 0.0])
-        assert br.mu == pytest.approx(2.0)
-        assert list(br.clipped_set) == [0]
+        powers, mu = robust_best_response(ch, cfg, PowerProfile([[0.5, 0.5]]), 0)
+        assert powers == pytest.approx([1.0, 0.0])
+        assert mu == pytest.approx(2.0)
 
     def test_interior_response_matches_family_fixed_point(self):
         sys = AntiSymSystem(alpha=0.2, m=2.0, sigma2=0.1, eps=0.1)
@@ -154,8 +151,8 @@ class TestRobustBestResponse:
         ch = antisym_channels(sys)
         cfg = antisym_config(sys)
         opponent = PowerProfile([[0.0, 0.0], [1 - p, p]])
-        br = robust_best_response(ch, cfg, opponent, 0)
-        assert br.powers == pytest.approx([p, 1 - p], rel=1e-12)
+        powers, _ = robust_best_response(ch, cfg, opponent, 0)
+        assert powers == pytest.approx([p, 1 - p], rel=1e-12)
 
     def test_classical_reduction_on_random_instances(self, rng):
         # eps = 0 must reproduce an independently coded classical waterfiller
@@ -165,7 +162,7 @@ class TestRobustBestResponse:
             ch, cfg = random_instance(rng, Q, N, eps=0.0)
             prof = random_feasible_profile(cfg, rng)
             for q in range(Q):
-                mine = robust_best_response(ch, cfg, prof, q).powers
+                mine, _ = robust_best_response(ch, cfg, prof, q)
                 oracle = classical_best_response(
                     ch.F, ch.sigma2, prof.p, q, cfg.P[q], cfg.pmax[q]
                 )
@@ -183,10 +180,10 @@ class TestRobustBestResponse:
                 cfg = GameConfig(
                     P=np.ones(3), pmax=np.full((3, 2), 5.0), eps=np.full(3, eps)
                 )
-                br = robust_best_response(ch, cfg, prof, 0)
-                if br.powers.min() <= 1e-12:  # only the interior regime counts
+                br, _ = robust_best_response(ch, cfg, prof, 0)
+                if br.min() <= 1e-12:  # only the interior regime counts
                     break
-                powers[eps] = br.powers
+                powers[eps] = br
             else:
                 norms = np.sqrt((others[1:] ** 2).sum(axis=0))
                 k = int(np.argmax(norms))
@@ -197,8 +194,8 @@ class TestProjectionResidual:
     def test_best_response_is_projection(self, rng):
         ch, cfg = random_instance(rng, 3, 6, eps=0.2)
         prof = random_feasible_profile(cfg, rng)
-        br = robust_best_response(ch, cfg, prof, 0)
-        res = projection_residual(ch, cfg, prof, 0, br.powers)
+        br, _ = robust_best_response(ch, cfg, prof, 0)
+        res = projection_residual(ch, cfg, prof, 0, br)
         assert res <= 1e-8
 
     def test_uniform_allocation_fails_on_tilted_channel(self, rng):
