@@ -14,7 +14,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -71,7 +74,7 @@ class ConfigError(GameError):
     """Malformed run configuration; message carries file and line."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     channels: ChannelSet
     game: GameConfig
@@ -109,17 +112,6 @@ def _parse_int(token, what, where, minimum=0):
     return int(value)
 
 
-def _assign(target, tokens, axes, what, where):
-    """target[i, j, ...] = value for the tokens 'i j ... value'.
-
-    axes holds one (limit, name) pair per index token.
-    """
-    index = tuple(
-        _parse_index(token, limit, name, where) for token, (limit, name) in zip(tokens, axes)
-    )
-    target[index] = _parse_float(tokens[-1], what, where)
-
-
 def _check_channel_size(Q, N, where):
     if Q * Q * N > CHANNEL_ENTRY_CAP:
         raise ConfigError(
@@ -127,171 +119,136 @@ def _check_channel_size(Q, N, where):
         )
 
 
-def parse_config(path) -> RunConfig:
-    """Flat sectioned text: [channels] or [generate], plus [game] and [solver]."""
-    sections = {}
-    current = None
+_parse_count = partial(_parse_int, minimum=1)
+
+# The config grammar. Scalar entries are 'key value':
+# section -> key -> (target, field, parser); [channels] Q and N size ChannelSet's arrays.
+SCALAR_KEYS = {
+    "channels": {"Q": (ChannelSet, "Q", _parse_count), "N": (ChannelSet, "N", _parse_count)},
+    "generate": {"users": (ChannelGenSpec, "Q", _parse_count),
+                 "freqs": (ChannelGenSpec, "N", _parse_count),
+                 "cross_variance": (ChannelGenSpec, "cross_variance", _parse_float),
+                 "direct_variance": (ChannelGenSpec, "direct_variance", _parse_float),
+                 "noise_power": (ChannelGenSpec, "noise_power", _parse_float),
+                 "seed": (ChannelGenSpec, "seed", _parse_int)},
+    "game": {},  # indexed entries only
+    "solver": {"schedule": (Schedule, "kind", lambda token, *_: token),
+               "seed": (Schedule, "seed", _parse_int),
+               "update_probability": (Schedule, "update_probability", _parse_float),
+               "max_staleness": (Schedule, "max_staleness", _parse_int),
+               "tol": (SolverOptions, "tol", _parse_float),
+               "max_iters": (SolverOptions, "max_iters", _parse_int)},
+}
+# Indexed entries are 'key index... value', '*' spanning an axis:
+# (section, key) -> index axes of the array named key.
+INDEXED_KEYS = {
+    ("channels", "F"): ("user", "user", "frequency"),
+    ("channels", "sigma2"): ("user", "frequency"),
+    ("game", "P"): ("user",),
+    ("game", "eps"): ("user",),
+    ("game", "pmax"): ("user", "frequency"),
+}
+# keys are case-insensitive; messages spell them as the grammar does
+KEY_NAMES = {key.lower(): key for keys in SCALAR_KEYS.values() for key in keys}
+KEY_NAMES.update((key.lower(), key) for _, key in INDEXED_KEYS)
+
+
+@contextmanager
+def _section(path, name):
+    """An invalid value met while building [name] becomes a ConfigError naming it."""
+    try:
+        yield
+    except (GameError, FloatingPointError) as exc:
+        raise ConfigError(f"{path}: [{name}] invalid: {exc}")
+
+
+def parse_config(path, overrides=None) -> RunConfig:
+    """Flat sectioned text: [channels] or [generate], plus [game] and [solver].
+
+    overrides maps (Schedule or SolverOptions, field) to a value that wins over
+    the file's [solver] entry; a value of None leaves the entry in force.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
+    found, section = set(), None
+    values = defaultdict(dict)  # target -> field -> value; absent fields keep defaults
+    indexed = []
     for lineno, line in enumerate(raw, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
+        where = f"{path}:{lineno}"
         if text.startswith("[") and text.endswith("]"):
-            current = text[1:-1].strip().lower()
-            sections.setdefault(current, [])
+            section = text[1:-1].strip().lower()
+            if section not in SCALAR_KEYS:
+                raise ConfigError(f"{where}: unrecognized section [{section}]")
+            found.add(section)
             continue
-        if current is None:
-            raise ConfigError(f"{path}:{lineno}: entry before any [section]")
-        sections[current].append((f"{path}:{lineno}", text.split()))
+        if section is None:
+            raise ConfigError(f"{where}: entry before any [section]")
+        tokens = text.split()
+        key = KEY_NAMES.get(tokens[0].lower())
+        axes = INDEXED_KEYS.get((section, key))
+        if key in SCALAR_KEYS[section] and len(tokens) == 2:
+            target, field, parse = SCALAR_KEYS[section][key]
+            values[target][field] = parse(tokens[1], key, where)
+        elif axes is not None and len(tokens) == len(axes) + 2:
+            indexed.append((where, key, axes, tokens[1:]))
+        else:
+            raise ConfigError(f"{where}: unrecognized {section} entry {' '.join(tokens)!r}")
 
-    has_channels = "channels" in sections
-    has_generate = "generate" in sections
-    if has_channels == has_generate:
-        raise ConfigError(
-            f"{path}: exactly one of [channels] or [generate] must be present"
-        )
+    if ("channels" in found) == ("generate" in found):
+        raise ConfigError(f"{path}: exactly one of [channels] or [generate] must be present")
+    source = "channels" if "channels" in found else "generate"
+    sizes = values[ChannelSet if source == "channels" else ChannelGenSpec]
+    Q, N = sizes.get("Q"), sizes.get("N")
+    if Q is None or N is None:
+        declare = "Q and N first" if source == "channels" else "users and freqs"
+        raise ConfigError(f"{path}: [{source}] must declare {declare}")
+    _check_channel_size(Q, N, f"{path}: [{source}]")
 
-    if has_channels:
-        channels = _parse_channels(path, sections["channels"])
-        Q, N = channels.Q, channels.N
-    else:
-        spec = _parse_generate(path, sections["generate"])
-        Q, N = spec.Q, spec.N
-    game = _parse_game(path, sections.get("game", []), Q, N)
-    schedule, options = _parse_solver(path, sections.get("solver", []))
-    if not has_channels:
-        channels = generate_channels(spec)  # drawn once every section has parsed
+    arrays = {"P": np.ones(Q), "eps": np.zeros(Q), "pmax": np.ones((Q, N))}
+    if source == "channels":
+        arrays.update(F=np.zeros((Q, Q, N)), sigma2=np.full((Q, N), np.nan))
+    limits = {"user": Q, "frequency": N}
+    for where, key, axes, tokens in indexed:
+        index = tuple(_parse_index(t, limits[a], a, where) for t, a in zip(tokens, axes))
+        if key == "F" and slice(None) in index[:2]:
+            raise ConfigError(f"{where}: F rows need explicit r and q")
+        if key == "F" and index[0] == index[1]:
+            raise ConfigError(f"{where}: diagonal F entries are fixed at zero")
+        arrays[key][index] = _parse_float(tokens[-1], key, where)
+
+    if source == "channels" and np.any(np.isnan(arrays["sigma2"])):
+        raise ConfigError(f"{path}: sigma2 not set for every (user, frequency)")
+    with _section(path, source):
+        if source == "channels":
+            channels = ChannelSet(F=arrays["F"], sigma2=arrays["sigma2"])
+        else:
+            spec = ChannelGenSpec(**values[ChannelGenSpec])
+    with _section(path, "game"):
+        game = GameConfig(P=arrays["P"], pmax=arrays["pmax"], eps=arrays["eps"])
+    for (target, field), value in (overrides or {}).items():
+        if value is not None:
+            values[target][field] = value
+    with _section(path, "solver"):
+        schedule = Schedule(**values[Schedule])
+        options = SolverOptions(**values[SolverOptions])
+    if source == "generate":
+        with _section(path, source):
+            channels = generate_channels(spec)  # drawn once every section has parsed
     return RunConfig(channels, game, schedule, options)
 
 
-def _parse_channels(path, entries):
-    Q = N = None
-    values = []
-    for where, tokens in entries:
-        key = tokens[0].lower()
-        if key == "q" and len(tokens) == 2:
-            Q = _parse_int(tokens[1], "Q", where, minimum=1)
-        elif key == "n" and len(tokens) == 2:
-            N = _parse_int(tokens[1], "N", where, minimum=1)
-        elif (key, len(tokens)) in (("f", 5), ("sigma2", 4)):
-            values.append((where, key, tokens[1:]))
-        else:
-            raise ConfigError(f"{where}: unrecognized channels entry {' '.join(tokens)!r}")
-    if Q is None or N is None:
-        raise ConfigError(f"{path}: [channels] must declare Q and N first")
-    _check_channel_size(Q, N, f"{path}: [channels]")
-
-    F = np.zeros((Q, Q, N))
-    sigma2 = np.full((Q, N), np.nan)
-    user, freq = (Q, "user"), (N, "frequency")
-    for where, key, tokens in values:
-        if key == "sigma2":
-            _assign(sigma2, tokens, (user, freq), "sigma2", where)
-            continue
-        r, q = (_parse_index(token, Q, "user", where) for token in tokens[:2])
-        if slice(None) in (r, q):
-            raise ConfigError(f"{where}: F rows need explicit r and q")
-        if r == q:
-            raise ConfigError(f"{where}: diagonal F entries are fixed at zero")
-        _assign(F, tokens, (user, user, freq), "F", where)
-    if np.any(np.isnan(sigma2)):
-        raise ConfigError(f"{path}: sigma2 not set for every (user, frequency)")
-    try:
-        return ChannelSet(F=F, sigma2=sigma2)
-    except GameError as exc:
-        raise ConfigError(f"{path}: [channels] invalid: {exc}")
-
-
-# config key -> (ChannelGenSpec field, parser)
-GENERATE_KEYS = {
-    "users": ("Q", _parse_int), "freqs": ("N", _parse_int),
-    "cross_variance": ("cross_variance", _parse_float),
-    "direct_variance": ("direct_variance", _parse_float),
-    "noise_power": ("noise_power", _parse_float), "seed": ("seed", _parse_int),
-}
-
-
-def _parse_generate(path, entries):
-    fields = {}
-    for where, tokens in entries:
-        key = tokens[0].lower()
-        if len(tokens) != 2 or key not in GENERATE_KEYS:
-            raise ConfigError(f"{where}: unrecognized generate entry {' '.join(tokens)!r}")
-        field, parse = GENERATE_KEYS[key]
-        fields[field] = parse(tokens[1], key, where)
-    if "Q" not in fields or "N" not in fields:
-        raise ConfigError(f"{path}: [generate] must declare users and freqs")
-    _check_channel_size(fields["Q"], fields["N"], f"{path}: [generate]")
-    try:
-        return ChannelGenSpec(**fields)
-    except GameError as exc:
-        raise ConfigError(f"{path}: [generate] invalid: {exc}")
-
-
-def _parse_game(path, entries, Q, N):
-    P = np.ones(Q)
-    eps = np.zeros(Q)
-    pmax = np.ones((Q, N))
-    user, freq = (Q, "user"), (N, "frequency")
-    # config key -> (array, its index axes, value name in messages)
-    grammar = {"p": (P, (user,), "P"), "eps": (eps, (user,), "eps"),
-               "pmax": (pmax, (user, freq), "pmax")}
-    for where, tokens in entries:
-        key = tokens[0].lower()
-        if key not in grammar or len(tokens) != len(grammar[key][1]) + 2:
-            raise ConfigError(f"{where}: unrecognized game entry {' '.join(tokens)!r}")
-        target, axes, what = grammar[key]
-        _assign(target, tokens[1:], axes, what, where)
-    try:
-        return GameConfig(P=P, pmax=pmax, eps=eps)
-    except GameError as exc:
-        raise ConfigError(f"{path}: [game] invalid: {exc}")
-
-
-# config key -> (dataclass, field, parser)
-SOLVER_KEYS = {
-    "schedule": (Schedule, "kind", lambda token, *_: token),
-    "seed": (Schedule, "seed", _parse_int),
-    "update_probability": (Schedule, "update_probability", _parse_float),
-    "max_staleness": (Schedule, "max_staleness", _parse_int),
-    "tol": (SolverOptions, "tol", _parse_float),
-    "max_iters": (SolverOptions, "max_iters", _parse_int),
-}
-
-
-def _parse_solver(path, entries):
-    fields = {Schedule: {}, SolverOptions: {}}  # absent keys keep their defaults
-    for where, tokens in entries:
-        key = tokens[0].lower()
-        if len(tokens) != 2:
-            raise ConfigError(f"{where}: solver entries are 'key value'")
-        if key not in SOLVER_KEYS:
-            raise ConfigError(f"{where}: unrecognized solver entry {key!r}")
-        cls, field, parse = SOLVER_KEYS[key]
-        fields[cls][field] = parse(tokens[1], key, where)
-    try:
-        return Schedule(**fields[Schedule]), SolverOptions(**fields[SolverOptions])
-    except GameError as exc:
-        raise ConfigError(f"{path}: [solver] invalid: {exc}")
-
-
 def cmd_solve(args) -> int:
-    cfg = parse_config(args.config)
-    if args.schedule:
-        cfg.schedule = replace(cfg.schedule, kind=args.schedule)
-    if args.seed is not None:
-        cfg.schedule = replace(cfg.schedule, seed=args.seed)
-    if args.tol is not None:
-        cfg.options = replace(cfg.options, tol=args.tol)
-    if args.max_iters is not None:
-        cfg.options = replace(cfg.options, max_iters=args.max_iters)
-    if args.trajectory:
-        cfg.options = replace(cfg.options, record_trajectory=True)
-
+    cfg = parse_config(args.config, {
+        (Schedule, "kind"): args.schedule, (Schedule, "seed"): args.seed,
+        (SolverOptions, "tol"): args.tol, (SolverOptions, "max_iters"): args.max_iters,
+        (SolverOptions, "record_trajectory"): bool(args.trajectory),
+    })
     ch = cfg.channels
     initial = default_initial_profile(ch, cfg.game)
     result = solve(ch, cfg.game, initial, cfg.schedule, cfg.options)
@@ -336,7 +293,7 @@ def cmd_two_user(args) -> int:
     ch = antisym_channels(base)  # eps moves neither the channels nor the optimum
     s_opt, _ = social_optimum_bruteforce(ch, antisym_config(base),
                                          grid_resolution=args.grid_resolution)
-    rows = []
+    rows, converged = [], True
     for eps in grid:
         system = replace(base, eps=eps)
         game = antisym_config(system)
@@ -344,6 +301,7 @@ def cmd_two_user(args) -> int:
             ch, game, default_initial_profile(ch, game), Schedule(kind="jacobi"),
             SolverOptions(tol=args.tol, max_iters=args.max_iters),
         )
+        converged = converged and result.converged
         p_solver = float(result.profile.p[0, 0])
         regime = "interior"
         try:
@@ -356,7 +314,7 @@ def cmd_two_user(args) -> int:
 
     header = ["eps", "p_closed_form", "p_solver", "sum_rate", "poa_vs_bruteforce", "regime"]
     write_csv(args.out or sys.stdout, header, rows)
-    return EXIT_OK
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_experiment(args) -> int:
@@ -376,11 +334,14 @@ def cmd_experiment(args) -> int:
     opts = SolverOptions(tol=args.tol, max_iters=args.max_iters)
     os.makedirs(args.out, exist_ok=True)
 
+    # a pool forks all its workers at the first submit; more than one per
+    # trial or per CPU only costs processes
+    workers = min(args.threads, args.trials, os.cpu_count() or 1)
     pool = None
-    if args.threads and args.threads > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=args.threads)
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         per_width = run_trials(gen, uncertainty, game, schedule, opts, args.trials, pool)
     finally:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -153,6 +154,16 @@ class TestTwoUserCommand:
         regimes = [r["regime"] for r in read_csv(out)]
         assert "boundary" in regimes
 
+    def test_not_converged_exit_code(self, tmp_path):
+        # one round stops every eps short of the closed form; each row is still written
+        out = tmp_path / "short.csv"
+        code = main([
+            "two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2",
+            "--eps-grid", "0:0.1:0.05", "--max-iters", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert len(read_csv(out)) == 3
+
 
 class TestExperimentCommand:
     def test_single_trial_zero_delta(self, tmp_path):
@@ -178,6 +189,34 @@ class TestExperimentCommand:
         assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
+    # a fake pool records its size and maps serially, so no process is started
+    @pytest.mark.parametrize("threads, trials, workers", [
+        (5000, 1, None), (5000, 3, 3), (2, 3, 2), (5000, 6, 4), (1, 6, None),
+    ])
+    def test_pool_capped_by_trials_and_cpus(self, tmp_path, monkeypatch, threads, trials,
+                                            workers):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        args = ["experiment", "--users", "2", "--freqs", "2", "--delta-grid", "0:0.2:0.2",
+                "--trials", str(trials), "--seed", "5"]
+        assert main(args + ["--threads", str(threads), "--out", str(tmp_path / "a")]) == 0
+        assert sizes == ([] if workers is None else [workers])
+        assert main(args + ["--threads", "1", "--out", str(tmp_path / "b")]) == 0
+        for name in ("trials.csv", "summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 FLOAT_RANGE_CHANNELS = (
     "[channels]\nQ 2\nN 2\nsigma2 * * 1\nF 1 2 * 1e308\nF 2 1 * 1e308\n"
@@ -186,10 +225,14 @@ FLOAT_RANGE_CHANNELS = (
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("value", ["2.7", "-2"], ids=["fractional", "negative"])
-    def test_bad_user_count_is_input_error(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("text", [
+        "[channels]\nQ 2.7\nN 2\nsigma2 * * 1.0\n",
+        "[channels]\nQ -2\nN 2\nsigma2 * * 1.0\n",
+        "[generate]\nusers 0\nfreqs 2\n[game]\nP 1 1\n",
+    ], ids=["fractional", "negative", "generate_zero"])
+    def test_bad_user_count_is_input_error(self, tmp_path, capsys, text):
         path = tmp_path / "q.cfg"
-        path.write_text(f"[channels]\nQ {value}\nN 2\nsigma2 * * 1.0\n")
+        path.write_text(text)
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "q.cfg:2" in err[0]
@@ -295,8 +338,8 @@ class TestInputValidation:
         assert len(err) == 1 and err[0].startswith("error: phi dwarfs the masks")
 
     # inputs near the float range overflow; that ends as one error line, which
-    # names the file and section where GameConfig sees the overflow (the masks'
-    # row sum); an overflowing channel draw still ends in numpy's own text
+    # names the file and the section where the overflow is met: GameConfig's
+    # mask row sum, or the channel draw of [generate]
     MASK_SUM_ERROR = ("error: {path}: [game] invalid: "
                       "spectral masks must have a finite sum per user")
 
@@ -304,7 +347,7 @@ class TestInputValidation:
         ("check", FLOAT_RANGE_CHANNELS, MASK_SUM_ERROR),
         ("solve", FLOAT_RANGE_CHANNELS, MASK_SUM_ERROR),
         ("solve", "[generate]\nusers 2\nfreqs 2\ncross_variance 1e300\ndirect_variance 1e-300\n",
-         "error: "),
+         "error: {path}: [generate] invalid: overflow encountered in divide"),
     ], ids=["check_channels", "solve_channels", "solve_generate"])
     def test_float_range_is_input_error(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "big.cfg"
@@ -312,6 +355,46 @@ class TestInputValidation:
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message.format(path=path))
+
+    # a header outside the grammar is refused, not skipped with its entries
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize("tail, name", [("[solvr]\nmax_iters 0\n", "solvr"),
+                                            ("[ Junk ]\n", "junk")], ids=["solvr", "junk"])
+    def test_unrecognized_section_is_input_error(self, tmp_path, capsys, command, tail, name):
+        path = tmp_path / "game.cfg"
+        path.write_text("[channels]\nQ 1\nN 1\nsigma2 * * 1\n" + tail)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {path}:5: unrecognized section [{name}]"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entry", ["tol 1 2", "tolerance 1", "max_iters"])
+    def test_unrecognized_solver_entry(self, tmp_path, capsys, entry):
+        path = tmp_path / "game.cfg"
+        path.write_text(f"[channels]\nQ 1\nN 1\nsigma2 * * 1\n[solver]\n{entry}\n")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}:6: unrecognized solver entry {entry!r}"]
+
+    # solve's options are [solver] fields, validated with the file's entries
+    @pytest.mark.parametrize("option, message", [
+        (["--tol", "-1"], "tol must be positive"),
+        (["--max-iters", "0"], "max_iters must be >= 1"),
+    ], ids=["tol", "max_iters"])
+    def test_bad_solve_option_names_solver_section(self, tmp_path, capsys, option, message):
+        path = write_fig1(tmp_path)
+        assert main(["solve", str(path)] + option) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: [solver] invalid: {message}"]
+
+    # every entry is checked against the grammar before any index is read
+    def test_grammar_checked_before_indices(self, tmp_path, capsys):
+        path = tmp_path / "game.cfg"
+        path.write_text("[channels]\nQ 1\nN 1\nsigma2 * * 1\n[game]\nP 9 1\n"
+                        "[solver]\nbogus 1\n")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}:8: unrecognized solver entry 'bogus 1'"]
 
     def test_huge_user_count_is_input_error(self, tmp_path, capsys):
         # Q*Q*N = 1e18 entries: refused before any array is built
@@ -369,6 +452,25 @@ TWO_USER_BOUNDARY = [  # eps 0.05 and 0.1 fall outside the interior regime
     "two-user", "--sigma2", "0.1", "--alpha", "0.3", "--m", "3.0",
     "--eps-grid", "0:0.1:0.05",
 ]
+
+
+# each of solve's options wins over the [solver] entry of the same name
+@pytest.mark.parametrize("option, key, file_value, value", [
+    ("--schedule", "schedule", "random_async", "gauss_seidel"),
+    ("--seed", "seed", "1", "5"),
+    ("--tol", "tol", "1e-8", "1e-4"),
+    ("--max-iters", "max_iters", "300", "3"),
+])
+def test_solve_option_matches_config_entry(tmp_path, capsys, option, key, file_value, value):
+    runs = []
+    for name, setting, argv in [("a", file_value, [option, value]), ("b", value, [])]:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(GENERATE_CONFIG.replace(f"\n{key} {file_value}\n", f"\n{key} {setting}\n"))
+        out = tmp_path / f"{name}.csv"
+        code = main(["solve", str(cfg), "--out", str(out)] + argv)
+        runs.append((code, capsys.readouterr().out, out.read_bytes()))
+    assert (tmp_path / "a.cfg").read_text() != (tmp_path / "b.cfg").read_text()
+    assert runs[0] == runs[1]
 
 
 def _pinned_output(case, tmp_path, capsys):
