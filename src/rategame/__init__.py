@@ -45,8 +45,8 @@ from .conditions import (
     build_report,
     build_Smax,
     contraction_modulus,
+    default_bin_sets,
     empirical_contraction_check,
-    estimate_never_used_set,
     full_bin_sets,
     spectral_radius,
 )
@@ -54,6 +54,7 @@ from .metrics import (
     PartitionProfile,
     fdma_condition_check,
     occupancy_counts,
+    occupied_bins,
     partition_measure,
     social_optimum_bruteforce,
     social_optimum_fdma,

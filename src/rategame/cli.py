@@ -206,7 +206,7 @@ def parse_config(path, overrides=None) -> RunConfig:
     sizes = values[ChannelSet if source == "channels" else ChannelGenSpec]
     Q, N = sizes.get("Q"), sizes.get("N")
     if Q is None or N is None:
-        declare = "Q and N first" if source == "channels" else "users and freqs"
+        declare = "Q and N" if source == "channels" else "users and freqs"
         raise ConfigError(f"{path}: [{source}] must declare {declare}")
     _check_channel_size(Q, N, f"{path}: [{source}]")
 

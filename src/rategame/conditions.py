@@ -42,47 +42,41 @@ def build_E(cfg: GameConfig) -> np.ndarray:
     return E
 
 
-def build_Smax(ch: ChannelSet, bin_sets) -> np.ndarray:
+def build_Smax(ch: ChannelSet, bins) -> np.ndarray:
     """Entry (q, r): max of F_rq(k) over bins usable by both q and r.
 
-    bin_sets is one index collection per user; an empty intersection gives 0.
+    bins is a (Q, N) boolean mask of the bins each user may use; an empty
+    intersection gives 0.
     """
-    masks = np.zeros((ch.Q, ch.N), dtype=bool)
-    for q in range(ch.Q):
-        masks[q, np.asarray(list(bin_sets[q]), dtype=int)] = True
-    both = masks[:, None, :] & masks[None, :, :]
+    bins = np.asarray(bins)
+    if bins.dtype != bool or bins.shape != (ch.Q, ch.N):
+        raise StructuralError(f"bins must be a boolean mask of shape ({ch.Q}, {ch.N})")
+    both = bins[:, None, :] & bins[None, :, :]
     # F is nonnegative, so a zero fill leaves every nonempty max unchanged
     S = np.where(both, ch.F.transpose(1, 0, 2), 0.0).max(axis=2)
     S[np.arange(ch.Q), np.arange(ch.Q)] = 0.0
     return S
 
 
-def estimate_never_used_set(ch: ChannelSet, cfg: GameConfig, q: int) -> np.ndarray:
-    """Bins user q leaves empty even against silent interferers.
+def default_bin_sets(ch: ChannelSet, cfg: GameConfig) -> np.ndarray:
+    """(Q, N) mask of the bins each user fills against the noise floor alone.
 
-    Classical waterfilling against the noise floor alone; bins allocated zero
-    there are reported. This is a heuristic under-cover of the true
-    never-used set: interference elsewhere can raise the water level and
-    re-activate a bin, so pass the full bin set to build_Smax for the most
-    conservative condition check.
+    Classical waterfilling against silent interferers; the bins it leaves
+    empty estimate the never-used set. The estimate is a heuristic
+    under-cover of the true never-used set: interference elsewhere can raise
+    the water level and re-activate a bin, so pass full_bin_sets(ch) to
+    build_Smax for the most conservative condition check.
     """
     check_dims(ch, cfg)
-    powers, _ = waterfill_powers(ch.sigma2[q], cfg.P[q], cfg.pmax[q])
-    return np.flatnonzero(powers <= 0.0)
-
-
-def default_bin_sets(ch: ChannelSet, cfg: GameConfig):
-    """Complement of the never-used estimate, per user."""
-    full = np.arange(ch.N)
-    return [
-        np.setdiff1d(full, estimate_never_used_set(ch, cfg, q))
+    return np.array([
+        waterfill_powers(ch.sigma2[q], cfg.P[q], cfg.pmax[q])[0] > 0.0
         for q in range(ch.Q)
-    ]
+    ])
 
 
-def full_bin_sets(ch: ChannelSet):
-    """Every bin for every user; the loosest valid choice for build_Smax."""
-    return [np.arange(ch.N) for _ in range(ch.Q)]
+def full_bin_sets(ch: ChannelSet) -> np.ndarray:
+    """Every bin for every user; the loosest valid mask for build_Smax."""
+    return np.ones((ch.Q, ch.N), dtype=bool)
 
 
 def spectral_radius(M) -> float:
@@ -105,8 +99,8 @@ def contraction_modulus(Smax, E) -> float:
 def build_report(ch: ChannelSet, cfg: GameConfig, bin_sets=None) -> ConditionReport:
     """Assemble E and S^max, their radii, the verdict and the contraction modulus.
 
-    bin_sets defaults to the never-used-set complements; pass full_bin_sets(ch)
-    for the most conservative check.
+    bin_sets, a (Q, N) mask, defaults to default_bin_sets(ch, cfg); pass
+    full_bin_sets(ch) for the most conservative check.
     """
     check_dims(ch, cfg)
     if bin_sets is None:

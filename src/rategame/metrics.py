@@ -41,10 +41,15 @@ class PartitionProfile:
     occupied_counts: np.ndarray
 
 
-def occupancy_counts(profile: PowerProfile, P):
-    """Number of bins per user with power above OCCUPANCY_FACTOR * P_q."""
+def occupied_bins(profile: PowerProfile, P) -> np.ndarray:
+    """(Q, N) mask of the bins where p_q(k) > OCCUPANCY_FACTOR * P_q."""
     P = np.asarray(P, dtype=float)
-    return (profile.p > OCCUPANCY_FACTOR * P[:, None]).sum(axis=1)
+    return profile.p > OCCUPANCY_FACTOR * P[:, None]
+
+
+def occupancy_counts(profile: PowerProfile, P):
+    """Number of occupied bins per user (see occupied_bins)."""
+    return occupied_bins(profile, P).sum(axis=1)
 
 
 def partition_measure(profile: PowerProfile, P_T: float) -> PartitionProfile:
@@ -59,10 +64,9 @@ def partition_measure(profile: PowerProfile, P_T: float) -> PartitionProfile:
         raise DomainError("P_T must be positive")
     phat = profile.p / P_T
     J = -(phat[0] * phat[1])
-    counts = occupancy_counts(profile, [P_T, P_T])
-    both = (profile.p > OCCUPANCY_FACTOR * P_T).all(axis=0)
-    J[~both] = 0.0
-    return PartitionProfile(J=J, occupied_counts=counts)
+    occupied = occupied_bins(profile, [P_T, P_T])
+    J[~occupied.all(axis=0)] = 0.0
+    return PartitionProfile(J=J, occupied_counts=occupied.sum(axis=1))
 
 
 def fdma_condition_check(ch: ChannelSet, eps: float):

@@ -26,7 +26,7 @@ from .core import (
     UnsupportedArityError,
     check_dims,
 )
-from .metrics import OCCUPANCY_FACTOR
+from .metrics import occupied_bins
 
 INTERIOR_MARGIN = 1e-9
 G = np.array([[0.0, 1.0], [1.0, 0.0]])  # d/deps of each overlap block
@@ -167,21 +167,20 @@ class OverlapSystem:
     """Exclusive/overlap frequency sets of a two-user equilibrium, flat noise.
 
     On overlap bins the clamp is inactive and the equilibrium solves a block
-    linear system with one 2x2 block A_k per bin coupled through the water
-    levels; Z maps the budget vector p_t to the water-level offsets.
+    linear system with one 2x2 block A_k = [[1, f21_k], [f12_k, 1]] per bin,
+    coupled through the water levels; Z maps the budgets (P_T, P_T) to the
+    water-level offsets mu_q - sigma2.
     """
 
     d1: np.ndarray       # bins used by user 1 only
     d2: np.ndarray       # bins used by user 2 only
     d_ol: np.ndarray     # bins used by both
-    n1: int
-    n2: int
-    A: np.ndarray        # (n_ol, 2, 2) blocks
-    dets: np.ndarray     # det(A_k) = 1 - (F21 + eps)(F12 + eps)
+    f21: np.ndarray      # F21(k) + eps on the overlap bins
+    f12: np.ndarray      # F12(k) + eps on the overlap bins
+    inv: np.ndarray      # (n_ol, 2, 2) block inverses A_k^{-1}
     Z: np.ndarray        # 2x2 water-level block of the inverse
-    mu1: float
-    mu2: float
-    p_t: np.ndarray      # (P_T, P_T)
+    offsets: np.ndarray  # Z (P_T, P_T): the water-level offsets mu_q - sigma2
+    P_T: float
     eps: float
     sigma2: float
 
@@ -214,89 +213,65 @@ def classify_frequency_sets(
     eps = float(cfg.eps[0])
     P_T = float(cfg.P[0])
 
-    p = equilibrium.p
-    occupied = p > OCCUPANCY_FACTOR * P_T
-    if np.any(p[occupied] > cfg.pmax[occupied] - 1e-9):
+    occupied = occupied_bins(equilibrium, cfg.P)
+    if np.any(equilibrium.p[occupied] > cfg.pmax[occupied] - 1e-9):
         raise DegenerateSystemError("mask active on an occupied bin")
     d1 = np.flatnonzero(occupied[0] & ~occupied[1])
     d2 = np.flatnonzero(occupied[1] & ~occupied[0])
     d_ol = np.flatnonzero(occupied[0] & occupied[1])
-    n1, n2 = d1.size, d2.size
 
     f21 = ch.F[1, 0, d_ol] + eps
     f12 = ch.F[0, 1, d_ol] + eps
-    A = np.zeros((d_ol.size, 2, 2))
-    A[:, 0, 0] = 1.0
-    A[:, 1, 1] = 1.0
-    A[:, 0, 1] = f21
-    A[:, 1, 0] = f12
     dets = 1.0 - f21 * f12
     if np.any(np.abs(dets) < 1e-12):
         raise DegenerateSystemError("singular overlap block: (F21+eps)(F12+eps) = 1")
+    one = np.ones_like(f21)
+    inv = np.moveaxis(np.array([[one, -f21], [-f12, one]]), -1, 0) / dets[:, None, None]
 
     inv_sum = float((1.0 / dets).sum())
     zbar = np.array(
         [
-            [n2 + inv_sum, float((f21 / dets).sum())],
-            [float((f12 / dets).sum()), n1 + inv_sum],
+            [d2.size + inv_sum, float((f21 / dets).sum())],
+            [float((f12 / dets).sum()), d1.size + inv_sum],
         ]
     )
     det_hat = zbar[0, 0] * zbar[1, 1] - zbar[0, 1] * zbar[1, 0]
     if abs(det_hat) < 1e-12:
         raise DegenerateSystemError("singular water-level coupling")
     Z = zbar / det_hat
-
-    p_t = np.full(2, P_T)
-    mu_off = Z @ p_t
     return OverlapSystem(
-        d1=d1, d2=d2, d_ol=d_ol, n1=n1, n2=n2,
-        A=A, dets=dets, Z=Z,
-        mu1=float(sigma2 + mu_off[0]), mu2=float(sigma2 + mu_off[1]),
-        p_t=p_t, eps=eps, sigma2=sigma2,
+        d1=d1, d2=d2, d_ol=d_ol, f21=f21, f12=f12, inv=inv, Z=Z,
+        offsets=Z @ np.full(2, P_T), P_T=P_T, eps=eps, sigma2=sigma2,
     )
 
 
-def _block_inverses(sys: OverlapSystem) -> np.ndarray:
-    inv = np.empty_like(sys.A)
-    inv[:, 0, 0] = sys.A[:, 1, 1]
-    inv[:, 1, 1] = sys.A[:, 0, 0]
-    inv[:, 0, 1] = -sys.A[:, 0, 1]
-    inv[:, 1, 0] = -sys.A[:, 1, 0]
-    return inv / sys.dets[:, None, None]
-
-
 def reconstruct_powers(sys: OverlapSystem) -> np.ndarray:
-    """Overlap-bin powers from the block solution, p(k) = A_k^{-1} Z p_t."""
-    zp = sys.Z @ sys.p_t
-    return _block_inverses(sys) @ zp
+    """Overlap-bin powers from the block solution, p(k) = A_k^{-1} Z (P_T, P_T)."""
+    return sys.inv @ sys.offsets
 
 
 def dense_overlap_solve(sys: OverlapSystem):
     """Solve the full (2 n_ol + 2) coupled system directly; validation oracle.
 
-    Returns (powers on overlap bins, water-level offsets (mu_q - sigma2)).
+    Built from the couplings, not from the stored block inverses. Returns
+    (powers on overlap bins, water-level offsets (mu_q - sigma2)).
     """
     n = sys.d_ol.size
     dim = 2 * n + 2
     M = np.zeros((dim, dim))
     rhs = np.zeros(dim)
     for i in range(n):
-        M[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = sys.A[i]
+        M[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] = [[1.0, sys.f21[i]], [sys.f12[i], 1.0]]
         M[2 * i: 2 * i + 2, 2 * n: 2 * n + 2] = -np.eye(2)
         M[2 * n: 2 * n + 2, 2 * i: 2 * i + 2] = np.eye(2)
-    M[2 * n, 2 * n] = sys.n1
-    M[2 * n + 1, 2 * n + 1] = sys.n2
-    rhs[2 * n:] = sys.p_t
+    M[2 * n, 2 * n] = sys.d1.size
+    M[2 * n + 1, 2 * n + 1] = sys.d2.size
+    rhs[2 * n:] = sys.P_T
     sol = np.linalg.solve(M, rhs)
     return sol[: 2 * n].reshape(n, 2), sol[2 * n:]
 
 
-def partition_derivative(
-    sys: OverlapSystem,
-    ch: ChannelSet,
-    cfg: GameConfig,
-    boundary_factor: float = 1e-3,
-):
+def partition_derivative(sys: OverlapSystem, ch: ChannelSet, boundary_factor: float = 1e-3):
     """Analytic d/deps of J(k) = -p1(k) p2(k), plus partition-boundary flags.
 
     Exclusive and unused bins have exact zero derivative. The derivative is
@@ -304,41 +279,25 @@ def partition_derivative(
     bins close to entering or leaving the overlap set are flagged (the value
     for the current region is still returned).
     """
-    check_dims(ch, cfg)
-    N = ch.N
-    dJ = np.zeros(N)
-    flags = np.zeros(N, dtype=bool)
-    P_T = float(sys.p_t[0])
-    btol = boundary_factor * P_T
+    dJ = np.zeros(ch.N)
+    flags = np.zeros(ch.N, dtype=bool)
+    btol = boundary_factor * sys.P_T
+    off = sys.offsets
 
-    inv = _block_inverses(sys)
-    zp = sys.Z @ sys.p_t
-    powers = inv @ zp  # (n_ol, 2)
+    # dp_k = A_k^{-1} (Z C off - G p_k), with C = sum_i A_i^{-1} G A_i^{-1}
+    powers = reconstruct_powers(sys)  # (n_ol, 2)
+    coupling = np.einsum("kab,bc,kcd->ad", sys.inv, G, sys.inv)
+    drift = sys.Z @ coupling @ off
+    dp = np.einsum("kab,kb->ka", sys.inv, drift - powers @ G.T)
+    dJ[sys.d_ol] = -((powers @ G) * dp).sum(axis=1)
+    flags[sys.d_ol] = powers.min(axis=1) < btol  # a user is about to drop the bin
 
-    # coupling_sum = sum_i A_i^{-1} G A_i^{-1}
-    coupling = np.einsum("kab,bc,kcd->ad", inv, G, inv)
-    for idx, k in enumerate(sys.d_ol):
-        p_k = powers[idx]
-        dp_k = inv[idx] @ sys.Z @ coupling @ zp - inv[idx] @ G @ inv[idx] @ zp
-        dJ[k] = -float(p_k @ G @ dp_k)
-        if min(p_k) < btol:
-            flags[k] = True  # a user is about to drop this bin
-
-    # exclusive bins: flag when the silent user's headroom is nearly zero
-    for k in sys.d1:
-        p1k = sys.mu1 - sys.sigma2
-        head = sys.mu2 - sys.sigma2 - (ch.F[0, 1, k] + sys.eps) * p1k
-        if head > -btol:
-            flags[k] = True
-    for k in sys.d2:
-        p2k = sys.mu2 - sys.sigma2
-        head = sys.mu1 - sys.sigma2 - (ch.F[1, 0, k] + sys.eps) * p2k
-        if head > -btol:
-            flags[k] = True
+    # bins of user q alone: flag when the silent user s's headroom is nearly zero
+    for q, bins in enumerate((sys.d1, sys.d2)):
+        s = 1 - q
+        head = off[s] - (ch.F[q, s, bins] + sys.eps) * off[q]
+        flags[bins] = head > -btol
     # bins used by nobody: flag when either user is close to activating them
-    used = np.zeros(N, dtype=bool)
-    used[sys.d1] = used[sys.d2] = used[sys.d_ol] = True
-    head = max(sys.mu1, sys.mu2) - sys.sigma2
-    if head > -btol:
-        flags[~used] = True
+    unused = np.setdiff1d(np.arange(ch.N), np.r_[sys.d1, sys.d2, sys.d_ol])
+    flags[unused] = off.max() > -btol
     return dJ, flags

@@ -273,14 +273,14 @@ def test_c07_partition_derivative_against_finite_differences():
         res = solve(ch, cfg, default_initial_profile(ch, cfg), Schedule(kind="jacobi"), tight)
         assert res.converged
         sys = classify_frequency_sets(ch, cfg, res.profile)
-        dJ, _ = partition_derivative(sys, ch, cfg)
+        dJ, _ = partition_derivative(sys, ch)
 
         dense_p, dense_mu = dense_overlap_solve(sys)
         worst_dense = max(
             worst_dense,
             float(np.abs(dense_p - reconstruct_powers(sys)).max()),
-            abs(dense_mu[0] - (sys.mu1 - sys.sigma2)),
-            abs(dense_mu[1] - (sys.mu2 - sys.sigma2)),
+            abs(dense_mu[0] - sys.offsets[0]),
+            abs(dense_mu[1] - sys.offsets[1]),
         )
 
         J = {}
@@ -334,7 +334,7 @@ def test_c08_partitioning_never_loosens_at_large_n():
         res = solve(ch, cfg, default_initial_profile(ch, cfg), Schedule(kind="jacobi"), tight)
         assert res.converged
         sys = classify_frequency_sets(ch, cfg, res.profile)
-        dJ, flags = partition_derivative(sys, ch, cfg)
+        dJ, flags = partition_derivative(sys, ch)
         violating = dJ < -1e-6
         unflagged = violating & ~flags
         if unflagged.any():

@@ -396,6 +396,16 @@ class TestInputValidation:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {path}:8: unrecognized solver entry 'bogus 1'"]
 
+    # every entry is read before any array is sized, so Q and N may come last
+    def test_sizes_may_follow_entries(self, tmp_path, capsys):
+        path = tmp_path / "game.cfg"
+        path.write_text("[channels]\nsigma2 * * 1\nF 1 2 * 0.1\nF 2 1 * 0.1\nQ 2\nN 2\n")
+        assert main(["check", str(path)]) == 0
+        path.write_text("[channels]\nQ 2\nsigma2 * * 1\n")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: [channels] must declare Q and N"]
+
     def test_huge_user_count_is_input_error(self, tmp_path, capsys):
         # Q*Q*N = 1e18 entries: refused before any array is built
         path = tmp_path / "huge.cfg"

@@ -7,12 +7,13 @@ from rategame import (
     ChannelSet,
     DomainError,
     GameConfig,
+    StructuralError,
     build_E,
     build_Smax,
     build_report,
     contraction_modulus,
+    default_bin_sets,
     empirical_contraction_check,
-    estimate_never_used_set,
     full_bin_sets,
     spectral_radius,
 )
@@ -46,7 +47,7 @@ class TestBuildSmax:
         F[1, 0, :] = (0.2, 0.4)
         F[0, 1, :] = (0.3, 0.1)
         ch = ChannelSet(F=F, sigma2=np.ones((2, 2)))
-        S = build_Smax(ch, [np.array([0, 1]), np.array([0, 1])])
+        S = build_Smax(ch, np.ones((2, 2), dtype=bool))
         assert S[0, 1] == pytest.approx(0.4)
         assert S[1, 0] == pytest.approx(0.3)
         assert S[0, 0] == S[1, 1] == 0.0
@@ -60,8 +61,15 @@ class TestBuildSmax:
         F[1, 0, :] = 0.9
         F[0, 1, :] = 0.9
         ch = ChannelSet(F=F, sigma2=np.ones((2, 2)))
-        S = build_Smax(ch, [np.array([0]), np.array([1])])
+        S = build_Smax(ch, np.eye(2, dtype=bool))
         assert np.array_equal(S, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bins", [np.ones((2, 2), dtype=bool), [[0, 1, 2], [0, 1, 2]]],
+                             ids=["wrong_shape", "index_lists"])
+    def test_anything_but_a_mask_refused(self, bins):
+        ch = ChannelSet(F=np.zeros((2, 2, 3)), sigma2=np.ones((2, 3)))
+        with pytest.raises(StructuralError, match=r"boolean mask of shape \(2, 3\)"):
+            build_Smax(ch, bins)
 
     def test_matches_pairwise_loop_on_random_bin_sets(self, rng):
         # entry by entry over the shared bins, empty sets and all-bin sets included
@@ -75,25 +83,28 @@ class TestBuildSmax:
                     shared = np.intersect1d(bin_sets[q], bin_sets[r])
                     if r != q and shared.size:
                         expected[q, r] = ch.F[r, q, shared].max()
-            assert np.array_equal(build_Smax(ch, bin_sets), expected)
+            mask = np.zeros((Q, N), dtype=bool)
+            for q in range(Q):
+                mask[q, bin_sets[q]] = True
+            assert np.array_equal(build_Smax(ch, mask), expected)
 
 
 class TestNeverUsedSet:
     def test_flat_noise_generous_masks(self):
         ch = ChannelSet(F=np.zeros((2, 2, 4)), sigma2=np.full((2, 4), 0.5))
         cfg = make_cfg(2, 4, [0.0, 0.0])
-        assert estimate_never_used_set(ch, cfg, 0).size == 0
+        assert default_bin_sets(ch, cfg).all()
 
     def test_enormous_noise_bin_dropped(self):
         sigma2 = np.array([[1.0, 1.0, 1e6, 1.0]])
         ch = ChannelSet(F=np.zeros((1, 1, 4)), sigma2=sigma2)
         cfg = GameConfig(P=[0.5], pmax=[[1.0] * 4], eps=[0.0])
-        assert list(estimate_never_used_set(ch, cfg, 0)) == [2]
+        assert list(np.flatnonzero(~default_bin_sets(ch, cfg)[0])) == [2]
 
     def test_single_bin_always_used(self):
         ch = ChannelSet(F=np.zeros((1, 1, 1)), sigma2=[[3.0]])
         cfg = GameConfig(P=[1.0], pmax=[[2.0]], eps=[0.0])
-        assert estimate_never_used_set(ch, cfg, 0).size == 0
+        assert default_bin_sets(ch, cfg).all()
 
 
 def _char_poly_radius(M):

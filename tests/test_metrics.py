@@ -7,6 +7,7 @@ from rategame import (
     GameConfig,
     PowerProfile,
     UnsupportedArityError,
+    classify_frequency_sets,
     fdma_condition_check,
     occupancy_counts,
     partition_measure,
@@ -16,6 +17,7 @@ from rategame import (
     social_optimum_fdma,
     sum_rate,
 )
+from rategame.metrics import OCCUPANCY_FACTOR
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config
 from rategame.waterfill import waterfill_powers
 
@@ -162,6 +164,19 @@ class TestOccupancy:
         prof = PowerProfile([[0.5, 1e-9, 0.5], [0.2, 0.3, 0.5]])
         counts = occupancy_counts(prof, [1.0, 1.0])
         assert np.array_equal(counts, [2, 3])
+
+    def test_one_rule_for_counts_partition_and_overlap_sets(self):
+        # entries exactly at the threshold are empty, the next float up is occupied
+        at = OCCUPANCY_FACTOR * 1.0
+        above = np.nextafter(at, 1.0)
+        prof = PowerProfile([[0.6, at, above, 0.4], [0.3, 0.3, at, above]])
+        ch = flat_two_user(4, 0.1, 0.2, 0.3)
+        cfg = GameConfig(P=[1.0, 1.0], pmax=np.full((2, 4), 1.0), eps=[0.0, 0.0])
+        counts = occupancy_counts(prof, cfg.P)
+        assert np.array_equal(counts, [3, 3])
+        assert np.array_equal(partition_measure(prof, 1.0).occupied_counts, counts)
+        sys = classify_frequency_sets(ch, cfg, prof)
+        assert list(sys.d1) == [2] and list(sys.d2) == [1] and list(sys.d_ol) == [0, 3]
 
     def test_more_bins_than_the_cap_refused(self):
         # 2^21 assignments: refused before any is enumerated

@@ -3,6 +3,7 @@ import pytest
 
 from rategame import (
     ChannelSet,
+    DegenerateSystemError,
     DomainError,
     GameConfig,
     PowerProfile,
@@ -177,14 +178,14 @@ class TestClassifyFrequencySets:
         prof = PowerProfile([[1.0, 0.0], [0.0, 1.0]])  # FDMA fixed point
         sys = classify_frequency_sets(ch, cfg, prof)
         assert sys.d_ol.size == 0
-        assert sys.n1 == 1 and sys.n2 == 1
+        assert sys.d1.size == 1 and sys.d2.size == 1
 
     def test_interior_antisym_is_all_overlap(self):
         asys = AntiSymSystem(alpha=0.2, m=2.0, sigma2=0.1, eps=0.1)
         ch, cfg = antisym_channels(asys), antisym_config(asys)
         sys = classify_frequency_sets(ch, cfg, self.solve_eq(ch, cfg))
         assert list(sys.d_ol) == [0, 1]
-        assert sys.n1 == sys.n2 == 0
+        assert sys.d1.size == sys.d2.size == 0
 
     def test_reconstruction_matches_solver(self, rng):
         for _ in range(5):
@@ -201,8 +202,24 @@ class TestClassifyFrequencySets:
             sys = classify_frequency_sets(ch, cfg, prof)
             dense_p, dense_mu = dense_overlap_solve(sys)
             assert np.abs(dense_p - reconstruct_powers(sys)).max() <= 1e-10
-            assert abs(dense_mu[0] - (sys.mu1 - sys.sigma2)) <= 1e-10
-            assert abs(dense_mu[1] - (sys.mu2 - sys.sigma2)) <= 1e-10
+            assert abs(dense_mu[0] - sys.offsets[0]) <= 1e-10
+            assert abs(dense_mu[1] - sys.offsets[1]) <= 1e-10
+
+    def test_singular_overlap_block_refused(self):
+        F = np.zeros((2, 2, 2))
+        F[1, 0, :] = F[0, 1, :] = 1.0
+        ch = ChannelSet(F=F, sigma2=np.full((2, 2), 0.1))
+        cfg = GameConfig(P=[1.0, 1.0], pmax=np.full((2, 2), 1.0), eps=[0.0, 0.0])
+        with pytest.raises(DegenerateSystemError, match="singular overlap block"):
+            classify_frequency_sets(ch, cfg, PowerProfile(np.full((2, 2), 0.5)))
+
+    def test_mask_active_on_occupied_bin_refused(self):
+        F = np.zeros((2, 2, 2))
+        F[1, 0, :] = F[0, 1, :] = 0.2
+        ch = ChannelSet(F=F, sigma2=np.full((2, 2), 0.1))
+        cfg = GameConfig(P=[1.0, 1.0], pmax=np.full((2, 2), 0.6), eps=[0.0, 0.0])
+        with pytest.raises(DegenerateSystemError, match="mask active"):
+            classify_frequency_sets(ch, cfg, PowerProfile([[0.6, 0.4], [0.4, 0.6]]))
 
     def test_requires_matching_two_user_setup(self, rng):
         ch, cfg = random_flat_instance(rng, 4, 0.1)
@@ -234,7 +251,7 @@ class TestPartitionDerivative:
         ch = ChannelSet(F=F, sigma2=np.full((2, 2), 0.1))
         cfg = GameConfig(P=[1.0, 1.0], pmax=np.full((2, 2), 2.0), eps=[0.0, 0.0])
         sys = classify_frequency_sets(ch, cfg, PowerProfile([[1.0, 0.0], [0.0, 1.0]]))
-        dJ, _ = partition_derivative(sys, ch, cfg)
+        dJ, _ = partition_derivative(sys, ch)
         assert np.array_equal(dJ, [0.0, 0.0])
 
     def test_matches_finite_difference_through_solver(self, rng):
@@ -243,7 +260,7 @@ class TestPartitionDerivative:
         for _ in range(4):
             ch, cfg = random_flat_instance(rng, 8, 0.1)
             sys, res = self.equilibrium_system(ch, cfg)
-            dJ, _ = partition_derivative(sys, ch, cfg)
+            dJ, _ = partition_derivative(sys, ch)
             J = {}
             same_partition = True
             for sgn in (1, -1):
@@ -274,7 +291,7 @@ class TestPartitionDerivative:
             for _ in range(3):
                 ch, cfg = random_flat_instance(rng, N, 0.1)
                 sys, _ = self.equilibrium_system(ch, cfg)
-                dJ, _ = partition_derivative(sys, ch, cfg)
+                dJ, _ = partition_derivative(sys, ch)
                 w = min(w, dJ.min())
             worst[N] = w
         assert worst[128] >= worst[32]  # violations shrink as N grows
@@ -290,7 +307,7 @@ class TestPartitionDerivative:
         cfg = GameConfig(P=[1.0, 1.0], pmax=np.full((2, 4), 1.0), eps=[0.0, 0.0])
         res = solve(ch, cfg, default_initial_profile(ch, cfg), Schedule(kind="jacobi"), TIGHT)
         sys = classify_frequency_sets(ch, cfg, res.profile)
-        dJ, flags = partition_derivative(sys, ch, cfg, boundary_factor=0.05)
+        dJ, flags = partition_derivative(sys, ch, boundary_factor=0.05)
         weakest = res.profile.p.min(axis=0)
         near = np.flatnonzero((weakest > 0) & (weakest < 0.05))
         assert np.all(flags[near])
