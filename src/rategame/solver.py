@@ -135,6 +135,17 @@ def solve(
     opts.tol and the simultaneous fixed-point residual confirms it at
     10 * opts.tol; the confirmation guards schedules whose rounds can be
     no-ops. Hitting max_iters returns converged=False, not an exception.
+
+    A jacobi or gauss_seidel round is a function of the round-start profile
+    alone. Once the profile after round t + lam equals, byte for byte, the
+    profile after round t, every later round repeats one of rounds
+    t + 1 .. t + lam, whose convergence checks all failed, so no later round
+    can converge and round max_iters ends on the profile of round
+    t + lam + (max_iters - t - lam) mod lam. The solve stops there and
+    returns what the full run returns: that profile, its mu and residual,
+    iterations = max_iters and converged=False. random_async solves (their
+    rounds draw from the RNG) and solves that record a trajectory run every
+    round.
     """
     check_dims(ch, cfg, initial)
     assert_feasible(cfg, initial)
@@ -146,8 +157,12 @@ def solve(
     # stored as it is, and only random_async reads beyond the last
     history = []
     trajectory = [p.copy()] if opts.record_trajectory else None
+    watch = None
+    if schedule.kind != "random_async" and trajectory is None:
+        watch = _CycleWatch()
 
     converged = False
+    last = opts.max_iters  # lowered to the cycle's matching round once one is proven
     for rnd in range(1, opts.max_iters + 1):
         prev = p.copy()
         history.append(prev)
@@ -166,6 +181,13 @@ def solve(
             if residual <= 10 * opts.tol:
                 converged = True
                 break
+        if watch is not None:
+            period = watch.period(p, rnd)
+            if period is not None:
+                last = rnd + (opts.max_iters - rnd) % period
+                watch = None
+        if rnd == last:
+            break
 
     if not converged:
         residual, mus = _residual(ch, cfg, p)
@@ -173,11 +195,42 @@ def solve(
     return EquilibriumResult(
         profile=PowerProfile(p),
         mu=mus,
-        iterations=rnd,
+        iterations=rnd if converged else opts.max_iters,
         residual=residual,
         converged=converged,
         trajectory=np.asarray(trajectory) if trajectory is not None else None,
     )
+
+
+class _CycleWatch:
+    """Finds the round at which a deterministic solve closes an exact cycle.
+
+    A dict maps the hash of each round's profile bytes to the latest round
+    that produced it: one int per round. A hit at round t from round s keeps
+    a copy of the profile and proposes the period lam = t - s; the cycle is
+    proven only if the profile after round t + lam equals that copy byte for
+    byte. A hash collision therefore costs one failed proof, and no result
+    depends on the hash.
+    """
+
+    def __init__(self):
+        self.seen = {}
+        self.candidate = None  # (profile bytes, round that must repeat them, lam)
+
+    def period(self, p, rnd):
+        """lam once the profile after round rnd proves a cycle, else None."""
+        key = p.tobytes()
+        h = hash(key)
+        if self.candidate is None:
+            s = self.seen.get(h)
+            if s is not None:
+                self.candidate = key, 2 * rnd - s, rnd - s
+        elif rnd == self.candidate[1]:
+            if key == self.candidate[0]:
+                return self.candidate[2]
+            self.candidate = None
+        self.seen[h] = rnd
+        return None
 
 
 def _check_finite(row, q, rnd):

@@ -9,7 +9,7 @@ checks compare two genuinely different code paths.
 import numpy as np
 import pytest
 
-from rategame import ChannelSet, GameConfig
+from rategame import ChannelSet, GameConfig, solver
 
 
 def bisect_water_level(phi, P, pmax, iters=200):
@@ -73,3 +73,21 @@ def random_instance(rng, Q, N, strength=0.8, eps=0.0, sigma_lo=0.1, sigma_hi=2.0
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def best_response_calls(monkeypatch):
+    """One-item list counting the best responses that solve's rounds compute.
+
+    The fixed-point residual reaches the best response through waterfill, not
+    through solver, so it is not counted.
+    """
+    calls = [0]
+    original = solver.best_response_powers
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(solver, "best_response_powers", counted)
+    return calls

@@ -196,6 +196,33 @@ class TestSweep:
         for rec, (_, _, result) in zip(records, calls["solve"]):
             assert (rec.iterations, rec.converged) == (result.iterations, result.converged)
 
+    def test_zero_delta_games_are_the_perfect_game(self, monkeypatch):
+        # at delta 0 the robust and nominal games are the perfect game bit for
+        # bit, so a C11 trial holds that game three times at delta 0
+        calls = self._count_calls(monkeypatch)
+        cfg = default_game_config(3, 16)
+        for trial in range(7):
+            calls["solve"].clear()
+            run_single_trial(self.C11_GEN, self.C11_WIDTHS[0], cfg, self.SCHEDULE,
+                             self.OPTS, trial)
+            *uncertain, (per_ch, _, _) = calls["solve"]
+            for ch, game_cfg, _ in uncertain:
+                assert ch.F.tobytes() == per_ch.F.tobytes()
+                assert ch.sigma2.tobytes() == per_ch.sigma2.tobytes()
+                assert game_cfg.eps.tobytes() == np.zeros(3).tobytes()
+
+    def test_capped_c11_solves_exit_their_cycle(self, best_response_calls):
+        # trial 6's nominal solves at delta 0.4 and 0.6 hit max_iters; they
+        # cycle exactly, so far fewer than max_iters * Q best responses run
+        calls = best_response_calls
+        cfg = default_game_config(3, 16)
+        for u in self.C11_WIDTHS[2:]:
+            calls[0] = 0
+            records = run_single_trial(self.C11_GEN, u, cfg, self.SCHEDULE, self.OPTS, 6)
+            nominal = records[KINDS.index("nominal")]
+            assert (nominal.iterations, nominal.converged) == (1000, False)
+            assert calls[0] < 1000 * 3  # all three solves together
+
 
 def record(kind="robust", trial=0, sum_rate=1.0, included=True):
     return TrialRecord(

@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rategame import (
     ChannelGenSpec,
+    ChannelSet,
     GameConfig,
     PowerProfile,
     Schedule,
@@ -150,6 +152,80 @@ class TestSolve:
             counts.append(res.iterations)
         inversions = sum(1 for a, b in zip(counts, counts[1:]) if b < a)
         assert inversions <= 1, counts
+
+
+def ping_pong_game():
+    # both users want bin 0 alone; under jacobi they swap bins together
+    # every round and never settle
+    F = np.zeros((2, 2, 2))
+    F[0, 1, :] = F[1, 0, :] = 3.0
+    ch = ChannelSet(F=F, sigma2=np.array([[0.1, 0.3], [0.1, 0.3]]))
+    cfg = GameConfig(P=np.ones(2), pmax=np.ones((2, 2)), eps=np.zeros(2))
+    return ch, cfg
+
+
+def assert_same_result(a, b):
+    assert a.profile.p.tobytes() == b.profile.p.tobytes()
+    assert np.asarray(a.mu).tobytes() == np.asarray(b.mu).tobytes()
+    for field in ("residual", "iterations", "converged"):
+        assert getattr(a, field) == getattr(b, field)
+
+
+class TestCycleExit:
+    """jacobi and gauss_seidel solves stop once their profile repeats exactly."""
+
+    OPTS = SolverOptions(tol=1e-8, max_iters=1000)
+
+    def test_jacobi_ping_pong_exits(self, best_response_calls):
+        calls = best_response_calls
+        ch, cfg = ping_pong_game()
+        res = solve(ch, cfg, default_initial_profile(ch, cfg), Schedule(kind="jacobi"),
+                    self.OPTS)
+        assert calls[0] <= 20  # 2 * 1000 without the exit
+        assert res.iterations == 1000 and res.converged is False
+
+    def test_random_async_runs_every_round(self, best_response_calls):
+        calls = best_response_calls
+        ch, cfg = ping_pong_game()
+        initial = default_initial_profile(ch, cfg)
+        jac = solve(ch, cfg, initial, Schedule(kind="jacobi"), self.OPTS)
+        calls[0] = 0
+        asy = solve(ch, cfg, initial,
+                    Schedule(kind="random_async", update_probability=1.0, max_staleness=0),
+                    self.OPTS)
+        assert calls[0] == 2 * 1000
+        assert_same_result(asy, jac)
+
+    def test_recorded_solve_runs_every_round(self, best_response_calls):
+        calls = best_response_calls
+        ch, cfg = ping_pong_game()
+        res = solve(ch, cfg, default_initial_profile(ch, cfg), Schedule(kind="jacobi"),
+                    SolverOptions(tol=1e-8, max_iters=1000, record_trajectory=True))
+        assert calls[0] == 2 * 1000
+        assert res.trajectory.shape == (1001, 2, 2)
+
+    # strongly coupled games: about a third stop at max_iters and about one in
+    # ten exits on a cycle; the solve that may exit must return what the
+    # recorded solve, which runs every round, returns
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(Q=st.integers(2, 4), N=st.integers(2, 8),
+           gain=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["jacobi", "gauss_seidel"]),
+           max_iters=st.integers(20, 300))
+    def test_same_result_as_recorded_solve(self, Q, N, gain, seed, kind, max_iters):
+        rng = np.random.default_rng(seed)
+        F = rng.uniform(0.0, gain, size=(Q, Q, N))
+        F[np.arange(Q), np.arange(Q), :] = 0.0
+        ch = ChannelSet(F=F, sigma2=rng.uniform(0.05, 1.0, size=(Q, N)))
+        cfg = GameConfig(P=np.ones(Q), pmax=np.ones((Q, N)),
+                         eps=rng.uniform(0.0, 0.3, size=Q))
+        initial = default_initial_profile(ch, cfg)
+        fast = solve(ch, cfg, initial, Schedule(kind=kind),
+                     SolverOptions(tol=1e-8, max_iters=max_iters))
+        full = solve(ch, cfg, initial, Schedule(kind=kind),
+                     SolverOptions(tol=1e-8, max_iters=max_iters, record_trajectory=True))
+        assert_same_result(fast, full)
+        assert full.trajectory[-1].tobytes() == fast.profile.p.tobytes()
 
 
 class TestFixedPointResidual:
