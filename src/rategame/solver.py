@@ -10,6 +10,7 @@ probability u per round against neighbor state of bounded age).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,8 @@ def solve(
     Convergence is declared once the per-round max-norm change drops below
     opts.tol and the simultaneous fixed-point residual confirms it at
     10 * opts.tol; the confirmation guards schedules whose rounds can be
-    no-ops. Hitting max_iters returns converged=False, not an exception.
+    no-ops. Hitting max_iters returns converged=False, not an exception; a
+    non-finite water level raises NumericalError.
 
     A jacobi or gauss_seidel round is a function of the round-start profile
     alone. Once the profile after round t + lam equals, byte for byte, the
@@ -157,10 +159,9 @@ def solve(
     # stored as it is, and only random_async reads beyond the last
     history = []
     trajectory = [p.copy()] if opts.record_trajectory else None
-    watch = None
-    if schedule.kind != "random_async" and trajectory is None:
-        watch = _CycleWatch()
+    watch = _CycleWatch() if schedule.kind != "random_async" and trajectory is None else None
 
+    F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps.tolist(), cfg.P.tolist(), list(cfg.pmax)
     converged = False
     last = opts.max_iters  # lowered to the cycle's matching round once one is proven
     for rnd in range(1, opts.max_iters + 1):
@@ -168,10 +169,9 @@ def solve(
         history.append(prev)
         del history[:-1 - schedule.max_staleness]
         for q, view in _round_views(schedule, p, prev, history, rng):
-            p[q], _ = best_response_powers(
-                ch.F, ch.sigma2, cfg.eps[q], view, q, cfg.P[q], cfg.pmax[q]
-            )
-            _check_finite(p[q], q, rnd)
+            p[q], mu = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])
+            if not math.isfinite(mu):
+                raise NumericalError(f"non-finite update for user {q + 1} in round {rnd}")
 
         delta = float(np.abs(p - prev).max())
         if trajectory is not None:
@@ -231,11 +231,6 @@ class _CycleWatch:
             self.candidate = None
         self.seen[h] = rnd
         return None
-
-
-def _check_finite(row, q, rnd):
-    if not np.isfinite(row).all():
-        raise NumericalError(f"non-finite update for user {q + 1} in round {rnd}")
 
 
 def write_trajectory_csv(result: EquilibriumResult, path):

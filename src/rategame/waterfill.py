@@ -42,14 +42,17 @@ def find_water_level(phi, P: float, pmax) -> float:
         raise DomainError("total power must be positive")
     if pmax.sum() <= P:
         raise InfeasibleError("masks cannot absorb the power budget")
+    return _sweep(phi, P, pmax)
 
-    # Small N makes this sweep cost its numpy calls, not its arithmetic, so
-    # it makes few of them: the slopes come from the sort order (the first
-    # n events open a bin, the rest close one) and the fill is accumulated
-    # into an array whose first entry is the zero fill at the lowest event.
+
+def _sweep(phi, P, pmax) -> float:
+    """The breakpoint sweep of find_water_level, on float arrays already checked."""
+    # Sorted, the first n events open a bin and the rest close one. Tied events
+    # add an exact +-0.0 to the fill, and the crossing j - 1 ends its tie group,
+    # whose slope counts the whole group: no order among ties can change mu.
     n = phi.size
     events = np.concatenate((phi, phi + pmax))
-    order = events.argsort(kind="stable")
+    order = events.argsort()
     b = events[order]
     slope = np.where(order < n, 1.0, -1.0).cumsum()  # slope right of each breakpoint
     filled = np.empty(2 * n)
@@ -74,17 +77,19 @@ def waterfill_powers(phi, P: float, pmax):
 
 def project_to_simplex(v, P: float, pmax):
     """Euclidean projection of v onto {0 <= x <= pmax, sum x = P}."""
-    v = np.asarray(v, dtype=float)
-    powers, _ = waterfill_powers(-v, P, pmax)
-    return powers
+    return waterfill_powers(-np.asarray(v, dtype=float), P, pmax)[0]
 
 
 def best_response_powers(F, sigma2, eps_q: float, p, q: int, P_q: float, pmax_q):
-    """Array-level robust best response; the fast path used by the solver.
+    """Robust best response on raw arrays; P_q and pmax_q come from a GameConfig.
 
-    p is the full (Q, N) power matrix; only rows r != q are read.
+    p is the full (Q, N) power matrix (only rows r != q are read); phi alone is checked.
     """
-    return waterfill_powers(interference_level(F, sigma2, eps_q, p, q), P_q, pmax_q)
+    phi = interference_level(F, sigma2, eps_q, p, q)
+    if not np.isfinite(phi).all():
+        raise DomainError("phi and pmax must be finite")
+    mu = _sweep(phi, P_q, pmax_q)
+    return np.minimum(np.maximum(mu - phi, 0.0), pmax_q), mu
 
 
 def best_responses(ch: ChannelSet, cfg: GameConfig, p):

@@ -4,7 +4,7 @@ import hashlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rategame import cli
 from rategame.cli import main
@@ -602,9 +602,13 @@ def config_text(draw):
     ) + b"\n"
 
 
+FUZZED = set()  # texts that passed, so each counted example is a new text
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(text=config_text())
 def test_fuzzed_config_ends_cleanly(tmp_path_factory, text):
+    assume(text not in FUZZED)  # a failing text is never added, so it still replays
     path = tmp_path_factory.mktemp("fuzz") / "game.cfg"
     path.write_bytes(text)
     for argv in (["check", str(path)], ["solve", str(path), "--max-iters", "20"]):
@@ -615,3 +619,4 @@ def test_fuzzed_config_ends_cleanly(tmp_path_factory, text):
         if code == 1:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
+    FUZZED.add(text)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rategame import (
     ChannelGenSpec,
     ChannelSet,
+    DomainError,
     GameConfig,
     PowerProfile,
     Schedule,
@@ -226,6 +228,23 @@ class TestCycleExit:
                      SolverOptions(tol=1e-8, max_iters=max_iters, record_trajectory=True))
         assert_same_result(fast, full)
         assert full.trajectory[-1].tobytes() == fast.profile.p.tobytes()
+
+
+class TestNonFiniteGame:
+    """Interference that overflows to inf ends the solve with a DomainError."""
+
+    @pytest.mark.parametrize("schedule", ALL_SCHEDULES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("raise_all", [False, True], ids=["default", "errstate_raise"])
+    def test_overflowing_interference(self, schedule, raise_all):
+        Q, N = 4, 2
+        F = np.full((Q, Q, N), 1.7e308)
+        F[np.arange(Q), np.arange(Q), :] = 0.0
+        ch = ChannelSet(F=F, sigma2=np.ones((Q, N)))
+        cfg = GameConfig(P=np.ones(Q), pmax=np.full((Q, N), 2.0), eps=np.zeros(Q))
+        errstate = np.errstate(all="raise") if raise_all else contextlib.nullcontext()
+        with errstate, pytest.raises(DomainError, match="^phi and pmax must be finite$"):
+            solve(ch, cfg, default_initial_profile(ch, cfg), schedule,
+                  SolverOptions(max_iters=5))
 
 
 class TestFixedPointResidual:

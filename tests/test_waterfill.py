@@ -21,6 +21,20 @@ from rategame.waterfill import waterfill_powers
 from conftest import bisect_water_level, classical_best_response, random_instance
 
 
+def stable_sweep(phi, P, pmax):
+    """Breakpoint sweep with ties kept in index order (a stable sort)."""
+    n = phi.size
+    events = np.concatenate((phi, phi + pmax))
+    order = np.argsort(events, kind="stable")
+    levels = events[order]
+    slope = np.cumsum(np.where(order < n, 1.0, -1.0))
+    filled = np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(levels))))
+    j = int(np.searchsorted(filled, P))
+    if filled[j] == P:
+        return float(levels[j])
+    return float(levels[j - 1] + (P - filled[j - 1]) / slope[j - 1])
+
+
 class TestFindWaterLevel:
     def test_flat_channel(self):
         assert find_water_level([1.0, 1.0], 1.0, [1.0, 1.0]) == pytest.approx(1.5)
@@ -90,6 +104,31 @@ class TestFindWaterLevel:
                 np.clip(mu - phi, 0, pmax), np.clip(mu_oracle - phi, 0, pmax),
                 atol=1e-9,
             )
+
+    def test_tie_order_cannot_change_a_bit(self, rng):
+        # grid-valued levels and masks make many tied events: bins at one
+        # level, zero-mask bins that open and close at once, and bin ends
+        # that land on other bins' levels; P on the grid meets breakpoints
+        reordered = 0
+        for n in [*range(1, 33)] * 8 + [*rng.integers(33, 1025, 200)]:
+            phi = rng.integers(0, 8, n) * 0.125
+            pmax = rng.integers(0, 4, n) * 0.25
+            if pmax.sum() < 0.5:  # room for P on the grid below the masks' total
+                pmax[0] = 0.5
+            if rng.random() < 0.5:
+                P = rng.integers(1, int(4 * pmax.sum())) * 0.25
+            else:
+                P = rng.uniform(0.01, 0.99) * pmax.sum()
+            events = np.concatenate((phi, phi + pmax))
+            opens = events.argsort() < n, events.argsort(kind="stable") < n
+            reordered += not np.array_equal(*opens)
+            mu = find_water_level(phi, P, pmax)
+            expected = stable_sweep(phi, P, pmax)
+            assert np.float64(mu).tobytes() == np.float64(expected).tobytes()
+            powers, _ = waterfill_powers(phi, P, pmax)
+            clipped = np.minimum(np.maximum(expected - phi, 0.0), pmax)
+            assert powers.tobytes() == clipped.tobytes()
+        assert reordered > 0  # the sorts disagreed on which tied events open a bin
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
