@@ -282,9 +282,10 @@ def _parse_grid(text):
     if step <= 0 or stop < start:
         raise ConfigError(f"grid {text!r} must have step > 0 and stop >= start")
     span = (stop - start) / step  # inf when a tiny step overflows it; checked before int()
-    if not span + 1 <= GRID_POINT_CAP:
+    count = np.floor(span + 1e-9) + 1  # the slack keeps a stop that rounding puts just short
+    if not count <= GRID_POINT_CAP:
         raise ConfigError(f"grid {text!r} has more than {GRID_POINT_CAP} points")
-    return [start + i * step for i in range(int(round(span)) + 1)]
+    return [start + i * step for i in range(int(count))]
 
 
 def cmd_two_user(args) -> int:

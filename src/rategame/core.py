@@ -183,9 +183,7 @@ def check_dims(ch: ChannelSet, cfg: GameConfig = None, profile: PowerProfile = N
 
 
 def assert_feasible(cfg: GameConfig, profile: PowerProfile):
-    """Check mask bounds and the total-power equality for every user."""
-    if (profile.Q, profile.N) != (cfg.Q, cfg.N):
-        raise StructuralError("profile dimensions do not match the config")
+    """Check mask bounds and per-user total power; the caller has checked (Q, N)."""
     if np.any(profile.p > cfg.pmax * (1 + 1e-12) + 1e-15):
         raise DomainError("profile violates a spectral mask")
     gap = np.abs(profile.p.sum(axis=1) - cfg.P)
@@ -213,11 +211,15 @@ def interference_level(F, sigma2, eps_q: float, p, q: int) -> np.ndarray:
     return phi
 
 
+def _rate(F, sigma2, eps_q: float, p, q: int):
+    return np.log1p(p[q] / interference_level(F, sigma2, eps_q, p, q)).sum()
+
+
 def sum_rate_array(F, sigma2, p) -> float:
     """Nominal sum-rate in nats of the (Q, N) power matrix p, on raw arrays."""
     total = 0.0
     for q in range(p.shape[0]):
-        total += np.log1p(p[q] / interference_level(F, sigma2, 0.0, p, q)).sum()
+        total += _rate(F, sigma2, 0.0, p, q)
     return float(total)
 
 
@@ -230,7 +232,7 @@ def worst_case_interference(
 
 
 def user_rate(
-    ch: ChannelSet, profile: PowerProfile, q: int, eps_override: float = None
+    ch: ChannelSet, profile: PowerProfile, q: int, eps_override: float = 0.0
 ) -> float:
     """Rate of user q in nats, sum_k log(1 + p_q(k) / denominator(k)).
 
@@ -238,12 +240,9 @@ def user_rate(
     evaluate the worst-case rate with that uncertainty bound instead.
     """
     check_dims(ch, profile=profile)
-    if eps_override is None:
-        eps_override = 0.0
-    elif not eps_override >= 0:
+    if not eps_override >= 0:
         raise DomainError("eps_override must be nonnegative")
-    den = interference_level(ch.F, ch.sigma2, eps_override, profile.p, q)
-    return float(np.log1p(profile.p[q] / den).sum())
+    return float(_rate(ch.F, ch.sigma2, eps_override, profile.p, q))
 
 
 def sum_rate(ch: ChannelSet, profile: PowerProfile) -> float:

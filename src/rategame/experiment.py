@@ -111,9 +111,7 @@ def perturb_channels(true_ch: ChannelSet, u: UncertaintySpec):
     Q, N = true_ch.Q, true_ch.N
     rng = np.random.default_rng(u.seed)
     e = u.delta * rng.uniform(-0.5, 0.5, size=(Q, Q, N))
-    F_nom = true_ch.F * (1.0 + e)
-    idx = np.arange(Q)
-    F_nom[idx, idx, :] = 0.0
+    F_nom = true_ch.F * (1.0 + e)  # the diagonal stays 0: 1 + e > 0 for delta < 1
     nominal = ChannelSet(F=F_nom, sigma2=true_ch.sigma2)
 
     eps = np.zeros(Q)

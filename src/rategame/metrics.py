@@ -151,13 +151,9 @@ def _fdma_profile(ch, cfg, owner):
     p = np.zeros((2, ch.N))
     for q in range(2):
         bins = np.flatnonzero(owner == q)
-        if bins.size == 0:
-            continue
         cap = cfg.pmax[q, bins].sum()
         budget = min(cfg.P[q], cap)
-        if budget <= 0:
-            continue
-        if budget >= cap:
+        if budget >= cap:  # also no bins, or a mask total of 0: the user stays silent
             p[q, bins] = cfg.pmax[q, bins]
         else:
             powers, _ = waterfill_powers(ch.sigma2[q, bins], budget, cfg.pmax[q, bins])

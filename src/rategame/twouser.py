@@ -74,15 +74,6 @@ def antisym_profile(p: float) -> PowerProfile:
     return PowerProfile(np.array([[p, 1.0 - p], [1.0 - p, p]]))
 
 
-def _require_interior(sys: AntiSymSystem, p: float):
-    # all four equilibrium powers (p and 1-p twice each) must be strictly
-    # positive with margin; otherwise the linear closed form is invalid
-    if min(p, 1.0 - p) <= INTERIOR_MARGIN:
-        raise RegimeError(
-            f"split p={p:.6g} is not interior; the closed form does not apply"
-        )
-
-
 def interior_p(sys: AntiSymSystem) -> float:
     """Interior equilibrium split p = (1 - alpha - eps) / (2 (1 - (m+1) alpha/2 - eps)).
 
@@ -93,7 +84,10 @@ def interior_p(sys: AntiSymSystem) -> float:
     if den <= 0:
         raise RegimeError(f"denominator {den:.6g} is not positive")
     p = (1.0 - sys.alpha - sys.eps) / (2.0 * den)
-    _require_interior(sys, p)
+    # all four equilibrium powers (p and 1-p twice each) must be strictly
+    # positive with margin; otherwise the linear closed form is invalid
+    if min(p, 1.0 - p) <= INTERIOR_MARGIN:
+        raise RegimeError(f"split p={p:.6g} is not interior; the closed form does not apply")
     return float(p)
 
 
@@ -102,10 +96,8 @@ def interior_dp_deps(sys: AntiSymSystem) -> float:
 
     Positive for m > 1: uncertainty pushes the equilibrium toward FDMA.
     """
+    interior_p(sys)  # raises RegimeError outside the interior regime
     den = sys.denominator()
-    if den <= 0:
-        raise RegimeError(f"denominator {den:.6g} is not positive")
-    _require_interior(sys, interior_p(sys))
     return float((sys.m - 1.0) * sys.alpha / (4.0 * den * den))
 
 
@@ -182,14 +174,6 @@ class OverlapSystem:
     offsets: np.ndarray  # Z (P_T, P_T): the water-level offsets mu_q - sigma2
     P_T: float
     eps: float
-    sigma2: float
-
-
-def _flat_sigma2(ch: ChannelSet) -> float:
-    s = ch.sigma2
-    if not np.allclose(s, s.flat[0], rtol=1e-9, atol=0.0):
-        raise DomainError("overlap analysis needs identical noise across users and bins")
-    return float(s.flat[0])
 
 
 def classify_frequency_sets(
@@ -209,7 +193,8 @@ def classify_frequency_sets(
         raise DomainError("overlap analysis needs equal uncertainty bounds")
     if cfg.P[0] != cfg.P[1]:
         raise DomainError("overlap analysis needs equal power budgets")
-    sigma2 = _flat_sigma2(ch)
+    if not np.allclose(ch.sigma2, ch.sigma2.flat[0], rtol=1e-9, atol=0.0):
+        raise DomainError("overlap analysis needs identical noise across users and bins")
     eps = float(cfg.eps[0])
     P_T = float(cfg.P[0])
 
@@ -241,7 +226,7 @@ def classify_frequency_sets(
     Z = zbar / det_hat
     return OverlapSystem(
         d1=d1, d2=d2, d_ol=d_ol, f21=f21, f12=f12, inv=inv, Z=Z,
-        offsets=Z @ np.full(2, P_T), P_T=P_T, eps=eps, sigma2=sigma2,
+        offsets=Z @ np.full(2, P_T), P_T=P_T, eps=eps,
     )
 
 

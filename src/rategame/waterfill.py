@@ -18,6 +18,7 @@ from .core import (
     InfeasibleError,
     NumericalError,
     PowerProfile,
+    check_dims,
     interference_level,
     worst_case_interference,
 )
@@ -62,6 +63,8 @@ def _sweep(phi, P, pmax) -> float:
     j = int(filled.searchsorted(P))
     if j == filled.size:  # rounding kept the fill below P
         raise NumericalError("phi dwarfs the masks: the fill cannot reach P in floating point")
+    if not filled[j] < np.inf:  # phi + pmax overflowed: the fill jumped past P
+        raise NumericalError("phi + pmax overflows: the fill cannot meet P in floating point")
     if filled[j] == P:
         return float(b[j])
     return float(b[j - 1] + (P - filled[j - 1]) / slope[j - 1])
@@ -105,8 +108,8 @@ def best_responses(ch: ChannelSet, cfg: GameConfig, p):
 
 def robust_best_response(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile, q: int):
     """Powers and water level of user q's best response under worst-case interference."""
-    phi = worst_case_interference(ch, cfg, profile, q)
-    return waterfill_powers(phi, cfg.P[q], cfg.pmax[q])
+    check_dims(ch, cfg, profile)
+    return best_response_powers(ch.F, ch.sigma2, cfg.eps[q], profile.p, q, cfg.P[q], cfg.pmax[q])
 
 
 def random_feasible_profile(cfg: GameConfig, rng) -> PowerProfile:

@@ -237,6 +237,19 @@ class TestInputValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "q.cfg:2" in err[0]
 
+    @pytest.mark.parametrize("grid, points", [
+        ("0:0.52:0.2", [0.0, 0.2, 0.4]),
+        ("0:0.14:0.04", [0.0, 0.04, 2 * 0.04, 3 * 0.04]),
+        ("0:0.6:0.2", [0.0, 0.2, 0.4, 3 * 0.2]),  # the span rounds to 2.9999999999999996
+    ], ids=["short_of_a_point", "half_past_a_point", "stop_rounded_short"])
+    def test_grid_never_passes_stop(self, grid, points):
+        assert cli._parse_grid(grid) == points
+
+    def test_grid_cap_counts_the_points_returned(self):
+        assert len(cli._parse_grid("0:9999.5:1")) == 10_000
+        with pytest.raises(cli.ConfigError, match="more than 10000 points"):
+            cli._parse_grid("0:10000:1")
+
     @pytest.mark.parametrize("grid", ["0:0.1:nan", "a:b:c", "0:1:1e-9"],
                              ids=["nan_step", "non_numeric", "tiny_step"])
     def test_bad_grid_is_input_error(self, tmp_path, capsys, grid):

@@ -147,6 +147,14 @@ class TestFdmaOptimum:
         assert rate == pytest.approx(np.log(1 + 1 / 0.5), rel=1e-12)
         assert prof.p[0, 0] == 0.0 and prof.p[1, 0] == pytest.approx(1.0)
 
+    def test_owner_of_zero_mask_bins_stays_silent(self):
+        from rategame.metrics import _fdma_profile
+
+        ch = flat_two_user(3, 0.1, 0.2, 0.3)
+        cfg = GameConfig(P=[1.0, 1.0], pmax=[[0.0, 0.0, 2.0], [1.0, 1.0, 1.0]], eps=[0.0, 0.0])
+        p = _fdma_profile(ch, cfg, np.array([0, 0, 1]))
+        assert p.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
     def test_beats_every_assignment_enumerated(self, rng):
         ch, cfg = random_instance(rng, 2, 4, strength=0.8)
         best, _ = social_optimum_fdma(ch, cfg)

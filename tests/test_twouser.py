@@ -66,13 +66,15 @@ class TestInteriorSplit:
                     assert p >= 0.5
 
     def test_regime_error_nonpositive_denominator(self):
-        with pytest.raises(RegimeError):
-            interior_p(AntiSymSystem(alpha=0.6, m=3.0, sigma2=0.1, eps=0.0))
+        for closed_form in (interior_p, interior_dp_deps):
+            with pytest.raises(RegimeError):
+                closed_form(AntiSymSystem(alpha=0.6, m=3.0, sigma2=0.1, eps=0.0))
 
     def test_regime_error_at_fdma_boundary(self):
         # p would reach 1 exactly: the clamp is active, the linear form invalid
-        with pytest.raises(RegimeError):
-            interior_p(AntiSymSystem(alpha=0.3, m=3.0, sigma2=0.1, eps=0.1))
+        for closed_form in (interior_p, interior_dp_deps):
+            with pytest.raises(RegimeError):
+                closed_form(AntiSymSystem(alpha=0.3, m=3.0, sigma2=0.1, eps=0.1))
 
 
 class TestSplitSensitivity:

@@ -15,8 +15,9 @@ from rategame import (
     random_feasible_profile,
     robust_best_response,
 )
+from rategame.core import worst_case_interference
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config, interior_p
-from rategame.waterfill import waterfill_powers
+from rategame.waterfill import best_response_powers, waterfill_powers
 
 from conftest import bisect_water_level, classical_best_response, random_instance
 
@@ -58,6 +59,17 @@ class TestFindWaterLevel:
         # 1e300 + 1 == 1e300, so the fill stays 0 although the masks hold 2 > P
         with pytest.raises(NumericalError, match="cannot reach P"):
             find_water_level([1e300, 1e300], 1.0, [1.0, 1.0])
+
+    def test_overflowed_fill_is_refused(self):
+        # 1e308 + 8e307 overflows, so the fill jumps from 0 to inf past P = 1
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="overflows"):
+                waterfill_powers([1e308, 1e308], 1.0, [8e307, 8e307])
+
+    def test_overflowed_event_past_the_crossing_is_kept(self):
+        # only the last event overflows; the fill meets P before it
+        with np.errstate(all="ignore"):
+            assert find_water_level([0.0, 1e308], 0.5, [1.0, 8e307]) == 0.5
 
     @pytest.mark.parametrize("phi, P, pmax, message", [
         ([np.nan, 1.0], 1.0, [1.0, 1.0], "must be finite"),
@@ -167,6 +179,23 @@ class TestFindWaterLevel:
 
 
 class TestRobustBestResponse:
+    def test_same_bits_as_the_solver_kernel_and_the_waterfill(self, rng):
+        # the typed call, the solver's kernel and Phi + waterfill agree bit for bit
+        for _ in range(60):
+            Q = int(rng.integers(2, 6))
+            N = int(rng.integers(2, 40))
+            ch, cfg = random_instance(rng, Q, N, eps=float(rng.uniform(0.01, 0.5)))
+            prof = random_feasible_profile(cfg, rng)
+            for q in range(Q):
+                powers, mu = robust_best_response(ch, cfg, prof, q)
+                kernel, mu_kernel = best_response_powers(
+                    ch.F, ch.sigma2, cfg.eps[q], prof.p, q, cfg.P[q], cfg.pmax[q]
+                )
+                phi = worst_case_interference(ch, cfg, prof, q)
+                filled, mu_filled = waterfill_powers(phi, cfg.P[q], cfg.pmax[q])
+                assert powers.tobytes() == kernel.tobytes() == filled.tobytes()
+                assert mu == mu_kernel == mu_filled
+
     def test_symmetric_flat_channel(self):
         F = np.zeros((1, 1, 2))
         ch = ChannelSet(F=F, sigma2=[[1.0, 1.0]])
