@@ -37,7 +37,6 @@ from .experiment import (
     ChannelGenSpec,
     UncertaintySpec,
     aggregate,
-    default_game_config,
     generate_channels,
     run_trials,
     write_summary_csv,
@@ -45,6 +44,7 @@ from .experiment import (
 )
 from .metrics import social_optimum_bruteforce
 from .solver import (
+    SCHEDULE_KINDS,
     Schedule,
     SolverOptions,
     default_initial_profile,
@@ -330,8 +330,6 @@ def cmd_experiment(args) -> int:
         Q=args.users, N=args.freqs, seed=args.seed,
         noise_power=args.noise_power,
     )
-    game = default_game_config(args.users, args.freqs)
-    schedule = Schedule(kind="gauss_seidel")  # draws no random numbers
     opts = SolverOptions(tol=args.tol, max_iters=args.max_iters)
     os.makedirs(args.out, exist_ok=True)
 
@@ -344,7 +342,7 @@ def cmd_experiment(args) -> int:
 
         pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        per_width = run_trials(gen, uncertainty, game, schedule, opts, args.trials, pool)
+        per_width = run_trials(gen, uncertainty, opts=opts, trials=args.trials, pool=pool)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -372,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute an equilibrium for a configured game")
     p_solve.add_argument("config")
-    p_solve.add_argument("--schedule", choices=["jacobi", "gauss_seidel", "random_async"])
+    p_solve.add_argument("--schedule", choices=SCHEDULE_KINDS)
     p_solve.add_argument("--seed", type=int)
     p_solve.add_argument("--tol", type=float)
     p_solve.add_argument("--max-iters", type=int, dest="max_iters")

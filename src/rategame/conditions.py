@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChannelSet, DomainError, GameConfig, StructuralError, check_dims, format_value
-from .waterfill import best_responses, random_feasible_profile, waterfill_powers
+from .waterfill import best_responses, block_norm, random_feasible_profile, waterfill_powers
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,6 @@ def build_report(ch: ChannelSet, cfg: GameConfig, bin_sets=None) -> ConditionRep
         uniform_eps_margin=margin,
         contraction_modulus=contraction_modulus(Smax, E),
     )
-
-
-def block_norm(mat) -> float:
-    """Block-maximum norm: max_q ||row q||_2."""
-    return float(np.max(np.linalg.norm(mat, axis=1)))
 
 
 def empirical_contraction_check(

@@ -178,8 +178,8 @@ def run_trials(
     gen: ChannelGenSpec,
     uncertainty: list[UncertaintySpec],
     cfg_template: GameConfig = None,
-    schedule: Schedule = None,
-    opts: SolverOptions = None,
+    schedule: Schedule = Schedule(kind="gauss_seidel"),
+    opts: SolverOptions = SolverOptions(tol=1e-8, max_iters=1000),
     trials: int = 1,
     pool=None,
 ):
@@ -194,10 +194,6 @@ def run_trials(
     """
     if cfg_template is None:
         cfg_template = default_game_config(gen.Q, gen.N)
-    if schedule is None:
-        schedule = Schedule(kind="gauss_seidel")
-    if opts is None:
-        opts = SolverOptions(tol=1e-8, max_iters=1000)
     trial = partial(_sweep_trial, gen, uncertainty, cfg_template, schedule, opts)
     # both maps yield in trial order, which keeps the output deterministic
     results = list((map if pool is None else pool.map)(trial, range(trials)))

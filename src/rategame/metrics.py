@@ -131,10 +131,13 @@ def social_optimum_bruteforce(
         if not g:
             raise DomainError(f"mask of user {q + 1} excludes every grid point")
 
-    best_rate = -np.inf
-    best = None
-    for rows in itertools.product(*grids):
-        p = np.stack(rows)
+    return _best_of(ch, (np.stack(rows) for rows in itertools.product(*grids)))
+
+
+def _best_of(ch, candidates):
+    """(rate, profile) of the first candidate (Q, N) matrix with the largest sum-rate."""
+    best_rate, best = -np.inf, None
+    for p in candidates:
         rate = sum_rate_array(ch.F, ch.sigma2, p)
         if rate > best_rate:
             best_rate = rate
@@ -174,13 +177,7 @@ def social_optimum_fdma(ch: ChannelSet, cfg: GameConfig):
         raise DomainError(
             f"FDMA search enumerates 2^N assignments; N = {N} exceeds the cap of {FDMA_BIN_CAP}"
         )
-    best_rate = -np.inf
-    best = None
-    for mask in range(2 ** N):
-        owner = np.array([(mask >> k) & 1 for k in range(N)])
-        p = _fdma_profile(ch, cfg, owner)
-        rate = sum_rate_array(ch.F, ch.sigma2, p)
-        if rate > best_rate:
-            best_rate = rate
-            best = p
-    return float(best_rate), PowerProfile(best)
+    return _best_of(ch, (
+        _fdma_profile(ch, cfg, np.array([(mask >> k) & 1 for k in range(N)]))
+        for mask in range(2 ** N)
+    ))

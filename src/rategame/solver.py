@@ -10,7 +10,6 @@ probability u per round against neighbor state of bounded age).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,12 @@ from .core import (
     ChannelSet,
     DomainError,
     GameConfig,
-    NumericalError,
     PowerProfile,
     assert_feasible,
     check_dims,
     write_csv,
 )
-from .waterfill import best_response_powers, best_responses, project_to_simplex
+from .waterfill import best_response_powers, best_responses, block_norm, projected_profile
 
 SCHEDULE_KINDS = ("jacobi", "gauss_seidel", "random_async")
 
@@ -78,17 +76,13 @@ class EquilibriumResult:
 def default_initial_profile(ch: ChannelSet, cfg: GameConfig) -> PowerProfile:
     """Uniform P_q/N allocation, projected per user to respect the masks."""
     check_dims(ch, cfg)
-    rows = [
-        project_to_simplex(np.full(cfg.N, cfg.P[q] / cfg.N), cfg.P[q], cfg.pmax[q])
-        for q in range(cfg.Q)
-    ]
-    return PowerProfile(np.stack(rows))
+    return projected_profile(cfg, (np.full(cfg.N, cfg.P[q] / cfg.N) for q in range(cfg.Q)))
 
 
 def _residual(ch, cfg, p):
     """Simultaneous fixed-point residual of p and every user's water level."""
     br, mus = best_responses(ch, cfg, p)
-    return float(np.max(np.linalg.norm(p - br, axis=1))), mus
+    return block_norm(p - br), mus
 
 
 def fixed_point_residual(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile) -> float:
@@ -136,7 +130,7 @@ def solve(
     opts.tol and the simultaneous fixed-point residual confirms it at
     10 * opts.tol; the confirmation guards schedules whose rounds can be
     no-ops. Hitting max_iters returns converged=False, not an exception; a
-    non-finite water level raises NumericalError.
+    water level that misses a budget raises NumericalError.
 
     A jacobi or gauss_seidel round is a function of the round-start profile
     alone. Once the profile after round t + lam equals, byte for byte, the
@@ -169,9 +163,7 @@ def solve(
         history.append(prev)
         del history[:-1 - schedule.max_staleness]
         for q, view in _round_views(schedule, p, prev, history, rng):
-            p[q], mu = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])
-            if not math.isfinite(mu):
-                raise NumericalError(f"non-finite update for user {q + 1} in round {rnd}")
+            p[q] = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])[0]
 
         delta = float(np.abs(p - prev).max())
         if trajectory is not None:

@@ -17,6 +17,7 @@ from .core import (
     GameConfig,
     InfeasibleError,
     NumericalError,
+    POWER_SUM_RTOL,
     PowerProfile,
     check_dims,
     interference_level,
@@ -63,11 +64,13 @@ def _sweep(phi, P, pmax) -> float:
     j = int(filled.searchsorted(P))
     if j == filled.size:  # rounding kept the fill below P
         raise NumericalError("phi dwarfs the masks: the fill cannot reach P in floating point")
-    if not filled[j] < np.inf:  # phi + pmax overflowed: the fill jumped past P
-        raise NumericalError("phi + pmax overflows: the fill cannot meet P in floating point")
-    if filled[j] == P:
-        return float(b[j])
-    return float(b[j - 1] + (P - filled[j - 1]) / slope[j - 1])
+    lo, fill, rate = b[j - 1], filled[j - 1], slope[j - 1]
+    mu = b[j] if filled[j] == P else lo + (P - fill) / rate
+    # the fill at mu must meet P; it does not when the step to P rounds away
+    # against a large b[j - 1], or when phi + pmax overflowed
+    if not abs(fill + rate * (mu - lo) - P) <= POWER_SUM_RTOL * P:
+        raise NumericalError("phi + pmax overflows or dwarfs P: the water level misses P")
+    return float(mu)
 
 
 def waterfill_powers(phi, P: float, pmax):
@@ -95,6 +98,11 @@ def best_response_powers(F, sigma2, eps_q: float, p, q: int, P_q: float, pmax_q)
     return np.minimum(np.maximum(mu - phi, 0.0), pmax_q), mu
 
 
+def block_norm(mat) -> float:
+    """Block-maximum norm: max_q ||row q||_2."""
+    return float(np.max(np.linalg.norm(mat, axis=1)))
+
+
 def best_responses(ch: ChannelSet, cfg: GameConfig, p):
     """Best-response powers and water levels of every user against frozen p."""
     out = np.empty_like(p)
@@ -112,17 +120,21 @@ def robust_best_response(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile,
     return best_response_powers(ch.F, ch.sigma2, cfg.eps[q], profile.p, q, cfg.P[q], cfg.pmax[q])
 
 
+def projected_profile(cfg: GameConfig, rows) -> PowerProfile:
+    """The profile whose row q is rows[q] projected onto user q's admissible set."""
+    return PowerProfile(np.stack([
+        project_to_simplex(v, cfg.P[q], cfg.pmax[q]) for q, v in enumerate(rows)
+    ]))
+
+
 def random_feasible_profile(cfg: GameConfig, rng) -> PowerProfile:
     """Random point of the product of per-user admissible sets.
 
     Gaussian draws centered on the uniform allocation, projected per user.
     """
-    rows = []
-    for q in range(cfg.Q):
-        center = cfg.P[q] / cfg.N
-        v = center + rng.normal(0.0, cfg.P[q], size=cfg.N)
-        rows.append(project_to_simplex(v, cfg.P[q], cfg.pmax[q]))
-    return PowerProfile(np.stack(rows))
+    return projected_profile(cfg, (
+        cfg.P[q] / cfg.N + rng.normal(0.0, cfg.P[q], size=cfg.N) for q in range(cfg.Q)
+    ))
 
 
 def _greedy_linear_max(coeff, P: float, pmax):

@@ -224,7 +224,34 @@ FLOAT_RANGE_CHANNELS = (
 )
 
 
+CHANNELS_2X2 = "[channels]\nQ 2\nN 2\nsigma2 * * 1.0\n"
+
+
 class TestInputValidation:
+    # a config file goes to check, a grid to two-user --eps-grid
+    @pytest.mark.parametrize("config, grid, message", [
+        (CHANNELS_2X2 + "[game]\nP 3 1.0\n", None, "user index 3 outside 1..2"),
+        (CHANNELS_2X2 + "F * 1 1 0.1\n", None, "F rows need explicit r and q"),
+        (CHANNELS_2X2 + "F 2 2 * 0.1\n", None, "diagonal F entries are fixed at zero"),
+        ("[channels]\nQ 2\nN 2\nsigma2 1 * 1.0\n", None,
+         "sigma2 not set for every (user, frequency)"),
+        (None, "0:1", "grid '0:1' must be start:stop:step"),
+        (None, "0:1:-0.1", "grid '0:1:-0.1' must have step > 0 and stop >= start"),
+        (None, "1:0:0.1", "grid '1:0:0.1' must have step > 0 and stop >= start"),
+    ], ids=["index_outside", "F_wildcard_row", "F_diagonal", "sigma2_unset", "grid_two_parts",
+            "grid_negative_step", "grid_stop_below_start"])
+    def test_config_and_grid_checks(self, tmp_path, capsys, config, grid, message):
+        if grid is None:
+            path = tmp_path / "c.cfg"
+            path.write_text(config)
+            argv = ["check", str(path)]
+        else:
+            argv = ["two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2.0",
+                    "--eps-grid", grid]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and err[0].endswith(message)
+
     @pytest.mark.parametrize("text", [
         "[channels]\nQ 2.7\nN 2\nsigma2 * * 1.0\n",
         "[channels]\nQ -2\nN 2\nsigma2 * * 1.0\n",

@@ -150,6 +150,11 @@ class TestSpectralRadius:
         with pytest.raises(DomainError):
             spectral_radius([[0.0, -0.1], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("M", [np.ones((2, 3)), np.ones(3)], ids=["non_square", "one_d"])
+    def test_rejects_non_square(self, M):
+        with pytest.raises(StructuralError, match="matrix must be square"):
+            spectral_radius(M)
+
 
 class TestContractionModulus:
     def test_unit_weights_row_sum(self):

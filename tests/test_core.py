@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rategame import (
     PowerProfile,
     StructuralError,
     price_of_anarchy,
+    solve,
     sum_rate,
     user_rate,
     worst_case_interference,
@@ -203,3 +206,41 @@ class TestValidation:
         prof = PowerProfile(np.ones((2, 2)))
         with pytest.raises(ValueError):
             prof.p[0, 0] = 2.0
+
+    # every constructor and checker error that no other test reaches
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: ChannelSet(F=np.full((1, 1, 1), np.nan), sigma2=[[1.0]]),
+         DomainError, "F contains non-finite entries"),
+        (lambda: ChannelSet(F=np.zeros((2, 1, 1)), sigma2=np.ones((2, 1))),
+         StructuralError, "F must be (Q, Q, N)"),
+        (lambda: ChannelSet(F=np.zeros((2, 2, 1)), sigma2=np.ones((2, 2))),
+         StructuralError, "sigma2 must be (Q, N)"),
+        (lambda: GameConfig(P=[[1.0]], pmax=[[2.0]], eps=[0.0]),
+         StructuralError, "P and eps must be 1-d"),
+        (lambda: GameConfig(P=[1.0], pmax=np.ones((2, 2)), eps=[0.0]),
+         StructuralError, "disagree on the user count"),
+        (lambda: GameConfig(P=[0.0], pmax=[[1.0]], eps=[0.0]),
+         DomainError, "power budgets must be positive"),
+        (lambda: GameConfig(P=[1.0], pmax=[[-1.0, 3.0]], eps=[0.0]),
+         DomainError, "spectral masks must be nonnegative"),
+        (lambda: GameConfig(P=[1.0], pmax=[[2.0]], eps=[-0.1]),
+         DomainError, "uncertainty bounds must be nonnegative"),
+        (lambda: PowerProfile([1.0, 1.0]), StructuralError, "profile must be (Q, N)"),
+        (lambda: PowerProfile([[-1.0]]), DomainError, "powers must be nonnegative"),
+        (lambda: sum_rate(two_user_channel(2, 1.0, 0.1), PowerProfile(np.ones((2, 3)))),
+         StructuralError, "profile is (2, 3) but channels are (2, 2)"),
+        (lambda: solve(two_user_channel(2, 1.0, 0.1), config(2, 2, pmax=0.6),
+                       PowerProfile([[0.7, 0.3], [0.5, 0.5]])),
+         DomainError, "profile violates a spectral mask"),
+        (lambda: solve(two_user_channel(2, 1.0, 0.1), config(2, 2),
+                       PowerProfile([[0.5, 0.5], [0.5, 0.4]])),
+         DomainError, "user 2 total power off budget"),
+        (lambda: user_rate(two_user_channel(1, 1.0, 0.1), PowerProfile([[1.0], [1.0]]), 0,
+                           eps_override=-0.1),
+         DomainError, "eps_override must be nonnegative"),
+    ], ids=["non_finite", "F_shape", "sigma2_shape", "P_ndim", "user_count", "P_zero",
+            "pmax_negative", "eps_negative", "profile_ndim", "profile_negative",
+            "profile_dims", "over_mask", "off_budget", "eps_override_negative"])
+    def test_input_checks(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()

@@ -53,6 +53,17 @@ class TestGenerateChannels:
         direct = 0.5 / ch.sigma2
         assert np.all(direct > 0)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(Q=0), "Q and N must be positive"),
+        (dict(N=0), "Q and N must be positive"),
+        (dict(cross_variance=0.0), "variances must be positive"),
+        (dict(direct_variance=-1.0), "variances must be positive"),
+        (dict(noise_power=0.0), "noise power must be positive"),
+    ], ids=["no_users", "no_bins", "cross_variance", "direct_variance", "noise_power"])
+    def test_spec_checks(self, fields, message):
+        with pytest.raises(DomainError, match=message):
+            ChannelGenSpec(**{"Q": 2, "N": 2, **fields})
+
 
 class TestPerturbChannels:
     def test_zero_delta_identity(self):

@@ -167,6 +167,25 @@ class TestFdmaOptimum:
             assert best >= sum_rate_array(ch.F, ch.sigma2, p) - 1e-12
 
 
+class TestOracleTies:
+    """Uncoupled users with flat noise: mirrored allocations tie exactly."""
+
+    ch = flat_two_user(2, 0.5, 0.0, 0.0)
+    cfg = GameConfig(P=[1.0, 1.0], pmax=np.ones((2, 2)), eps=[0.0, 0.0])
+
+    def test_bruteforce_keeps_the_first_tied_grid_point(self):
+        rate, prof = social_optimum_bruteforce(self.ch, self.cfg, grid_resolution=1 / 3)
+        # [1/3, 2/3] and [2/3, 1/3] tie for each user; the enumeration meets the first first
+        assert prof.p.tolist() == [[1 / 3, 2 / 3], [1 / 3, 2 / 3]]
+        assert rate == pytest.approx(2 * (np.log1p(2 / 3) + np.log1p(4 / 3)), rel=1e-15)
+
+    def test_fdma_keeps_the_lowest_tied_mask(self):
+        rate, prof = social_optimum_fdma(self.ch, self.cfg)
+        # masks 1 and 2 (one bin each) tie; mask 1 gives bin 1 to user 2
+        assert prof.p.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert rate == pytest.approx(2 * np.log1p(2.0), rel=1e-15)
+
+
 class TestOccupancy:
     def test_threshold_counts(self):
         prof = PowerProfile([[0.5, 1e-9, 0.5], [0.2, 0.3, 0.5]])
@@ -192,3 +211,33 @@ class TestOccupancy:
         cfg = GameConfig(P=[1.0, 1.0], pmax=[[1.0] * 21] * 2, eps=[0.0, 0.0])
         with pytest.raises(DomainError, match="N = 21 exceeds the cap of 20"):
             social_optimum_fdma(ch, cfg)
+
+
+# the input checks no other test reaches
+UNCOUPLED_3 = ChannelSet(F=np.zeros((3, 3, 2)), sigma2=np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: partition_measure(PowerProfile(np.full((2, 2), 0.5)), 0.0),
+     DomainError, "P_T must be positive"),
+    (lambda: fdma_condition_check(UNCOUPLED_3, 0.1),
+     UnsupportedArityError, "FDMA condition is defined for Q = 2 only"),
+    (lambda: fdma_condition_check(flat_two_user(2, 0.1, 0.2, 0.2), -0.1),
+     DomainError, "eps must be nonnegative"),
+    (lambda: social_optimum_bruteforce(
+        flat_two_user(2, 0.1, 0.2, 0.2),
+        GameConfig(P=[1.0, 1.0], pmax=np.ones((2, 2)), eps=[0.0, 0.0]), grid_resolution=0.0),
+     DomainError, "grid_resolution must be positive"),
+    # a unit step leaves the grid points [0, 1] and [1, 0], both over a 0.6 mask
+    (lambda: social_optimum_bruteforce(
+        flat_two_user(2, 0.1, 0.2, 0.2),
+        GameConfig(P=[1.0, 1.0], pmax=np.full((2, 2), 0.6), eps=[0.0, 0.0]), grid_resolution=1.0),
+     DomainError, "mask of user 1 excludes every grid point"),
+    (lambda: social_optimum_fdma(
+        UNCOUPLED_3, GameConfig(P=np.ones(3), pmax=np.ones((3, 2)), eps=np.zeros(3))),
+     UnsupportedArityError, "FDMA search is defined for Q = 2 only"),
+], ids=["P_T_zero", "condition_arity", "eps_negative", "resolution_zero", "mask_excludes_grid",
+        "fdma_arity"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -268,6 +268,26 @@ class TestFixedPointResidual:
         assert fixed_point_residual(ch, cfg, fixed) <= 1e-12
 
 
+def unrecorded_result():
+    _, ch, cfg = fig1_instance()
+    return solve(ch, cfg, default_initial_profile(ch, cfg))
+
+
+# the input checks no other test reaches
+@pytest.mark.parametrize("call, message", [
+    (lambda path: Schedule(kind="bogus"), "unknown schedule kind 'bogus'"),
+    (lambda path: Schedule(update_probability=0.0), r"update_probability must be in \(0, 1\]"),
+    (lambda path: Schedule(max_staleness=-1), "max_staleness must be >= 0"),
+    (lambda path: write_trajectory_csv(unrecorded_result(), path),
+     "result carries no trajectory"),
+], ids=["kind", "update_probability", "max_staleness", "no_trajectory"])
+def test_input_checks(tmp_path, call, message):
+    path = tmp_path / "t.csv"
+    with pytest.raises(DomainError, match=message):
+        call(path)
+    assert not path.exists()
+
+
 class TestTrajectoryCsv:
     def test_csv_layout_and_determinism(self, tmp_path, rng):
         ch, cfg = random_instance(rng, 2, 3, eps=0.1)

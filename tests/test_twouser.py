@@ -313,3 +313,32 @@ class TestPartitionDerivative:
         weakest = res.profile.p.min(axis=0)
         near = np.flatnonzero((weakest > 0) & (weakest < 0.05))
         assert np.all(flags[near])
+
+
+# the input checks no other test reaches
+UNCOUPLED = ChannelSet(F=np.zeros((2, 2, 2)), sigma2=np.full((2, 2), 0.1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AntiSymSystem(alpha=0.0, m=2.0, sigma2=0.1),
+     DomainError, r"alpha must lie in \(0, 1\)"),
+    (lambda: AntiSymSystem(alpha=0.2, m=0.5, sigma2=0.1), DomainError, "m must be >= 1"),
+    (lambda: AntiSymSystem(alpha=0.2, m=2.0, sigma2=0.0), DomainError, "sigma2 must be positive"),
+    (lambda: AntiSymSystem(alpha=0.2, m=2.0, sigma2=0.1, eps=-0.1),
+     DomainError, "eps must be nonnegative"),
+    (lambda: alpha_crit(0.5, 0.1), DomainError, "need m >= 1 and sigma2 > 0"),
+    (lambda: alpha_roots(2.0, 0.1, 0.5), DomainError, r"split p must lie in \(0.5, 1\)"),
+    (lambda: classify_frequency_sets(
+        UNCOUPLED, GameConfig(P=[1.0, 2.0], pmax=np.full((2, 2), 2.0), eps=[0.1, 0.1]),
+        PowerProfile(np.full((2, 2), 0.5))),
+     DomainError, "overlap analysis needs equal power budgets"),
+    # user 2 occupies no bin, so the water-level system has a zero row
+    (lambda: classify_frequency_sets(
+        UNCOUPLED, GameConfig(P=[1.0, 1.0], pmax=np.ones((2, 2)), eps=[0.1, 0.1]),
+        PowerProfile([[0.5, 0.5], [0.0, 0.0]])),
+     DegenerateSystemError, "singular water-level coupling"),
+], ids=["alpha_zero", "m_below_one", "sigma2_zero", "eps_negative", "crit_m_below_one",
+        "split_at_half", "unequal_budgets", "silent_user"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

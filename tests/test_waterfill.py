@@ -71,6 +71,20 @@ class TestFindWaterLevel:
         with np.errstate(all="ignore"):
             assert find_water_level([0.0, 1e308], 0.5, [1.0, 8e307]) == 0.5
 
+    def test_step_lost_at_the_level_is_refused(self):
+        # 1e300 + 0.5 rounds back to 1e300, so the fill at that level stays 0
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="misses P"):
+                waterfill_powers([1e300, 1e300], 1.0, [8e299, 8e299])
+
+    def test_overflow_after_the_crossing_segment_is_solved(self):
+        # the fill jumps to inf at the overflowed last event, past the segment
+        # that meets P
+        with np.errstate(all="ignore"):
+            powers, mu = waterfill_powers([0.0, 1e308], 5e307, [1e307, 8e307])
+        assert powers.tolist() == pytest.approx([1e307, 4e307], rel=1e-15)
+        assert powers.sum() == 5e307 and np.isfinite(mu)
+
     @pytest.mark.parametrize("phi, P, pmax, message", [
         ([np.nan, 1.0], 1.0, [1.0, 1.0], "must be finite"),
         ([1.0, 1.0], 1.0, [np.inf, 1.0], "must be finite"),
@@ -279,6 +293,15 @@ class TestProjectionResidual:
         prof = PowerProfile([[1.0], [1.0]])
         res = projection_residual(ch, cfg, prof, 0, [1.0])
         assert res == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("candidate", [[0.5, 0.5, 0.0], [[0.5, 0.5]]],
+                             ids=["too_long", "two_d"])
+    def test_candidate_shape_refused(self, candidate):
+        ch = ChannelSet(F=np.zeros((2, 2, 2)), sigma2=np.ones((2, 2)))
+        cfg = GameConfig(P=[1.0, 1.0], pmax=np.ones((2, 2)), eps=[0.0, 0.0])
+        prof = PowerProfile(np.full((2, 2), 0.5))
+        with pytest.raises(DomainError, match="candidate must be a length-N vector"):
+            projection_residual(ch, cfg, prof, 0, candidate)
 
 
 class TestProjectToSimplex:
