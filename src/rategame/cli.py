@@ -34,6 +34,7 @@ from .core import (
 )
 from .experiment import (
     DEFAULT_NOISE_POWER,
+    DEFAULT_SOLVER_OPTIONS,
     ChannelGenSpec,
     UncertaintySpec,
     aggregate,
@@ -401,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--noise-power", dest="noise_power", type=float,
                        default=DEFAULT_NOISE_POWER)
-    p_exp.add_argument("--tol", type=float, default=1e-8)
-    p_exp.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
+    p_exp.add_argument("--tol", type=float, default=DEFAULT_SOLVER_OPTIONS.tol)
+    p_exp.add_argument("--max-iters", dest="max_iters", type=int,
+                       default=DEFAULT_SOLVER_OPTIONS.max_iters)
     p_exp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p_exp.add_argument("--out", required=True, help="output directory")
     p_exp.set_defaults(func=cmd_experiment)

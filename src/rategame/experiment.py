@@ -33,6 +33,17 @@ KINDS = ("robust", "nominal", "perfect")
 # with noise power near 1 these channels are noise-dominated and the robust
 # penalty only hurts. Override via the config when studying other regimes.
 DEFAULT_NOISE_POWER = 0.01
+# Solver options of the Monte-Carlo sweep (C11's operating point).
+DEFAULT_SOLVER_OPTIONS = SolverOptions(tol=1e-8, max_iters=1000)
+
+# Summary prefix -> the per-record value whose mean and standard error it reports.
+SUMMARY_METRICS = {
+    "sum_rate": lambda r: r.sum_rate_true,
+    "occupancy": lambda r: r.occupancy.mean(),
+    "iterations": lambda r: r.iterations,
+}
+SUMMARY_COLUMNS = ("n_included", "n_excluded",
+                   *(f"{m}_{s}" for m in SUMMARY_METRICS for s in ("mean", "stderr")))
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,7 @@ def run_trials(
     uncertainty: list[UncertaintySpec],
     cfg_template: GameConfig = None,
     schedule: Schedule = Schedule(kind="gauss_seidel"),
-    opts: SolverOptions = SolverOptions(tol=1e-8, max_iters=1000),
+    opts: SolverOptions = DEFAULT_SOLVER_OPTIONS,
     trials: int = 1,
     pool=None,
 ):
@@ -202,7 +213,7 @@ def run_trials(
 
 
 def aggregate(records):
-    """Mean and standard error per metric per solution kind over included trials.
+    """Mean and standard error of each SUMMARY_METRICS value per kind over included trials.
 
     Raises DomainError when no trial survived; excluded counts are reported.
     """
@@ -214,27 +225,14 @@ def aggregate(records):
         used = [r for r in mine if r.included]
         if not used:
             raise DomainError(f"no included trials for kind {kind!r}")
-
-        def stats(values):
-            arr = np.asarray(values, dtype=float)
-            mean = float(arr.mean())
-            stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-            return mean, stderr
-
-        sr = stats([r.sum_rate_true for r in used])
-        occ = stats([r.occupancy.mean() for r in used])
-        its = stats([r.iterations for r in used])
-        rows.append(
-            dict(
-                kind=kind,
-                delta=used[0].delta,
-                n_included=len(used),
-                n_excluded=len(mine) - len(used),
-                sum_rate_mean=sr[0], sum_rate_stderr=sr[1],
-                occupancy_mean=occ[0], occupancy_stderr=occ[1],
-                iterations_mean=its[0], iterations_stderr=its[1],
-            )
-        )
+        row = dict(kind=kind, delta=used[0].delta, n_included=len(used),
+                   n_excluded=len(mine) - len(used))
+        for name, value in SUMMARY_METRICS.items():
+            arr = np.asarray([value(r) for r in used], dtype=float)
+            row[f"{name}_mean"] = float(arr.mean())
+            row[f"{name}_stderr"] = (float(arr.std(ddof=1) / np.sqrt(arr.size))
+                                     if arr.size > 1 else 0.0)
+        rows.append(row)
     return rows
 
 
@@ -252,12 +250,6 @@ def write_trial_csv(records, path, Q: int, N: int):
          r.occupancy.mean(), r.iterations, r.converged, r.uniqueness_ok)
         for r in records
     ))
-
-
-SUMMARY_COLUMNS = (
-    "n_included", "n_excluded", "sum_rate_mean", "sum_rate_stderr", "occupancy_mean",
-    "occupancy_stderr", "iterations_mean", "iterations_stderr",
-)
 
 
 def write_summary_csv(rows, path, Q: int, N: int):

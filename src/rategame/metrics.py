@@ -155,12 +155,10 @@ def _fdma_profile(ch, cfg, owner):
     for q in range(2):
         bins = np.flatnonzero(owner == q)
         cap = cfg.pmax[q, bins].sum()
-        budget = min(cfg.P[q], cap)
-        if budget >= cap:  # also no bins, or a mask total of 0: the user stays silent
+        if cfg.P[q] >= cap:  # also no bins, or a mask total of 0: the user stays silent
             p[q, bins] = cfg.pmax[q, bins]
         else:
-            powers, _ = waterfill_powers(ch.sigma2[q, bins], budget, cfg.pmax[q, bins])
-            p[q, bins] = powers
+            p[q, bins] = waterfill_powers(ch.sigma2[q, bins], cfg.P[q], cfg.pmax[q, bins])[0]
     return p
 
 

@@ -10,6 +10,7 @@ probability u per round against neighbor state of bounded age).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ class Schedule:
             raise DomainError(f"unknown schedule kind {self.kind!r}")
         if not (0.0 < self.update_probability <= 1.0):
             raise DomainError("update_probability must be in (0, 1]")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DomainError("seed must be an integer >= 0")
+        if not isinstance(self.max_staleness, numbers.Integral):
+            raise DomainError("max_staleness must be an integer")
         if self.max_staleness < 0:
             raise DomainError("max_staleness must be >= 0")
 
@@ -59,6 +64,8 @@ class SolverOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise DomainError("tol must be positive")
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise DomainError("max_iters must be an integer")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
 

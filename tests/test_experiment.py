@@ -299,6 +299,12 @@ class TestCsvOutputs:
             "trial,kind,delta,Q,N,sum_rate_true,occupancy_u1,occupancy_u2,"
             "occupancy_mean,iterations,converged,uniqueness_ok"
         )
+        write_summary_csv(aggregate(records), out, 2, 4)
+        head = out.read_text().splitlines()[0]
+        assert head == (
+            "delta,Q,N,kind,n_included,n_excluded,sum_rate_mean,sum_rate_stderr,"
+            "occupancy_mean,occupancy_stderr,iterations_mean,iterations_stderr"
+        )
 
     def test_pinned_c11_bytes(self, tmp_path):
         # trials 0-6 of the C11 sweep; trial 6 holds the two nominal solves
