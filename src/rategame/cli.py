@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -334,19 +334,13 @@ def cmd_experiment(args) -> int:
     opts = SolverOptions(tol=args.tol, max_iters=args.max_iters)
     os.makedirs(args.out, exist_ok=True)
 
+    from concurrent.futures import ProcessPoolExecutor
+
     # a pool forks all its workers at the first submit; more than one per
     # trial or per CPU only costs processes
     workers = min(args.threads, args.trials, os.cpu_count() or 1)
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-    try:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         per_width = run_trials(gen, uncertainty, opts=opts, trials=args.trials, pool=pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     records = [record for width in per_width for record in width]
     summaries = [row for width in per_width for row in aggregate(width)]

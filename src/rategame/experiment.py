@@ -15,6 +15,7 @@ reuse the same channel and error realizations (paired comparisons).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -46,6 +47,12 @@ SUMMARY_COLUMNS = ("n_included", "n_excluded",
                    *(f"{m}_{s}" for m in SUMMARY_METRICS for s in ("mean", "stderr")))
 
 
+def _check_seed(seed):
+    if not (isinstance(seed, np.random.SeedSequence)
+            or isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError("seed must be an integer >= 0 or a SeedSequence")
+
+
 @dataclass(frozen=True)
 class ChannelGenSpec:
     """Rayleigh-fading generator: |H|^2 drawn exponential with the given means."""
@@ -58,8 +65,11 @@ class ChannelGenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.Q, numbers.Integral) and isinstance(self.N, numbers.Integral)):
+            raise DomainError("Q and N must be integers")
         if self.Q < 1 or self.N < 1:
             raise DomainError("Q and N must be positive")
+        _check_seed(self.seed)
         if not (self.cross_variance > 0 and self.direct_variance > 0):
             raise DomainError("variances must be positive")
         if not self.noise_power > 0:
@@ -76,6 +86,7 @@ class UncertaintySpec:
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise DomainError("delta must lie in [0, 1)")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -135,7 +146,7 @@ def perturb_channels(true_ch: ChannelSet, u: UncertaintySpec):
 
 
 def _spawn_seed(base: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(base), int(trial)])
+    return np.random.SeedSequence([base, trial])
 
 
 def default_game_config(Q: int, N: int) -> GameConfig:

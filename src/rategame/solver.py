@@ -33,8 +33,9 @@ SCHEDULE_KINDS = ("jacobi", "gauss_seidel", "random_async")
 class Schedule:
     """Update schedule: which users recompute when, and how stale their views are.
 
-    random_async with max_staleness=0 and update_probability=1 produces the
-    same iterates as jacobi.
+    Only random_async reads update_probability and max_staleness; jacobi and
+    gauss_seidel hold only the round-start profile. random_async at
+    max_staleness=0 and update_probability=1 gives jacobi's iterates.
     """
 
     kind: str = "jacobi"
@@ -98,30 +99,24 @@ def fixed_point_residual(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile)
     return _residual(ch, cfg, profile.p)[0]
 
 
-def _round_views(schedule, p, prev, history, rng):
+def _round_views(schedule, p, history, rng):
     """(user, view) pairs of one round: who updates, and against which powers.
 
-    jacobi reads the frozen round-start profile prev, gauss_seidel the live p.
-    random_async draws who updates, then an age in 0..len(history)-1 for each
-    other user's row, in that order; jacobi and gauss_seidel draw nothing.
+    jacobi reads the frozen round-start profile history[-1], gauss_seidel the
+    live p. random_async draws who updates, then, per updating user q, one
+    age in 0..len(history)-1 for each other user's row in one call, in that
+    order; jacobi and gauss_seidel draw nothing.
     """
     Q = p.shape[0]
     if schedule.kind != "random_async":
-        view = prev if schedule.kind == "jacobi" else p
+        view = history[-1] if schedule.kind == "jacobi" else p
         for q in range(Q):
             yield q, view
         return
-    updating = rng.random(Q) < schedule.update_probability
-    for q in range(Q):
-        if not updating[q]:
-            continue
-        view = prev.copy()
-        for r in range(Q):
-            if r == q:
-                continue  # a user always knows its own latest powers
-            age = int(rng.integers(0, len(history)))
-            view[r] = history[-1 - age][r]
-        yield q, view
+    for q in np.flatnonzero(rng.random(Q) < schedule.update_probability).tolist():
+        ages = rng.integers(0, len(history), Q - 1).tolist()
+        ages.insert(q, 0)  # a user always knows its own latest powers
+        yield q, np.array([history[-1 - age][r] for r, age in enumerate(ages)])
 
 
 def solve(
@@ -155,9 +150,9 @@ def solve(
 
     p = initial.p.copy()
     rng = np.random.default_rng(schedule.seed)
-    # the last max_staleness + 1 round-start snapshots, oldest first (a list,
-    # so any int bounds it); each round's prev is never written, so it is
-    # stored as it is, and only random_async reads beyond the last
+    # round-start snapshots, oldest first, never written: the last
+    # max_staleness + 1 for random_async (a list, so any int bounds it), else one
+    keep = schedule.max_staleness + 1 if schedule.kind == "random_async" else 1
     history = []
     trajectory = [p.copy()] if opts.record_trajectory else None
     watch = _CycleWatch() if schedule.kind != "random_async" and trajectory is None else None
@@ -166,13 +161,12 @@ def solve(
     converged = False
     last = opts.max_iters  # lowered to the cycle's matching round once one is proven
     for rnd in range(1, opts.max_iters + 1):
-        prev = p.copy()
-        history.append(prev)
-        del history[:-1 - schedule.max_staleness]
-        for q, view in _round_views(schedule, p, prev, history, rng):
+        history.append(p.copy())
+        del history[:-keep]
+        for q, view in _round_views(schedule, p, history, rng):
             p[q] = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])[0]
 
-        delta = float(np.abs(p - prev).max())
+        delta = float(np.abs(p - history[-1]).max())
         if trajectory is not None:
             trajectory.append(p.copy())
         if delta < opts.tol:

@@ -201,11 +201,14 @@ class TestExperimentCommand:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
             def map(self, fn, items):
                 return map(fn, items)
-
-            def shutdown(self):
-                pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)

@@ -59,13 +59,27 @@ class TestGenerateChannels:
         (dict(cross_variance=0.0), "variances must be positive"),
         (dict(direct_variance=-1.0), "variances must be positive"),
         (dict(noise_power=0.0), "noise power must be positive"),
-    ], ids=["no_users", "no_bins", "cross_variance", "direct_variance", "noise_power"])
+        (dict(N=2.5), "Q and N must be integers"),
+        (dict(Q=2.0), "Q and N must be integers"),
+        (dict(seed=-1), "seed must be an integer >= 0 or a SeedSequence"),
+        (dict(seed=2.7), "seed must be an integer >= 0 or a SeedSequence"),
+    ], ids=["no_users", "no_bins", "cross_variance", "direct_variance", "noise_power",
+            "fractional_bins", "float_users", "negative_seed", "fractional_seed"])
     def test_spec_checks(self, fields, message):
         with pytest.raises(DomainError, match=message):
             ChannelGenSpec(**{"Q": 2, "N": 2, **fields})
 
 
 class TestPerturbChannels:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(delta=1.0), r"delta must lie in \[0, 1\)"),
+        (dict(seed=-1), "seed must be an integer >= 0 or a SeedSequence"),
+        (dict(seed=1.5), "seed must be an integer >= 0 or a SeedSequence"),
+    ], ids=["delta", "negative_seed", "fractional_seed"])
+    def test_spec_checks(self, fields, message):
+        with pytest.raises(DomainError, match=message):
+            UncertaintySpec(**{"delta": 0.1, **fields})
+
     def test_zero_delta_identity(self):
         ch = generate_channels(ChannelGenSpec(Q=3, N=8, seed=2))
         nominal, eps = perturb_channels(ch, UncertaintySpec(delta=0.0, seed=3))

@@ -1,6 +1,7 @@
 import builtins
 import contextlib
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -236,6 +237,74 @@ class TestCycleExit:
                              SolverOptions(tol=1e-8, max_iters=max_iters))
             assert_same_result(fast, full)
             assert full.trajectory[-1].tobytes() == fast.profile.p.tobytes()
+
+
+class TestSnapshots:
+    """random_async reads up to max_staleness + 1 round-start profiles; the others one."""
+
+    # sha256 of the trajectory and mu bytes, recorded before the stale views
+    # were drawn one call per updating user; covers Q = 1 (no other rows to
+    # age), max_staleness 0 (every age 0) and bounds past the rounds run
+    @pytest.mark.parametrize("Q, max_staleness, u, digest", [
+    (1, 0, 0.3, "dd2daacfee69937d229ccdf0ed9254dd715f3954440a73fd32053798da8754c7"),
+    (1, 0, 1.0, "73781769a3beb429cdbfc4b8d2a3cd1a803a62122b5e66b05610a1adccd8bbd0"),
+    (1, 1, 0.3, "dd2daacfee69937d229ccdf0ed9254dd715f3954440a73fd32053798da8754c7"),
+    (1, 1, 1.0, "73781769a3beb429cdbfc4b8d2a3cd1a803a62122b5e66b05610a1adccd8bbd0"),
+    (1, 3, 0.3, "dd2daacfee69937d229ccdf0ed9254dd715f3954440a73fd32053798da8754c7"),
+    (1, 3, 1.0, "73781769a3beb429cdbfc4b8d2a3cd1a803a62122b5e66b05610a1adccd8bbd0"),
+    (1, 10**30, 0.3, "dd2daacfee69937d229ccdf0ed9254dd715f3954440a73fd32053798da8754c7"),
+    (1, 10**30, 1.0, "73781769a3beb429cdbfc4b8d2a3cd1a803a62122b5e66b05610a1adccd8bbd0"),
+    (2, 0, 0.3, "32816fdb44abad3e25156e03739ea6565af732c4e8587a1b2ce363d4b9dbc529"),
+    (2, 0, 1.0, "9bbd1e0121e478da2ee28822e305a00f0d82d3d0fc74d512e78fc01c7eb1c77a"),
+    (2, 1, 0.3, "77250a3cc3d4310ea38bc9383d28f085fa3054b45ea9efbabc32cb71fc436ec8"),
+    (2, 1, 1.0, "caf60079cfe68d2fb70c6bb7155765f46378f8d91895ab0665a3aae0bc594dc1"),
+    (2, 3, 0.3, "40a8e328eba28a265d8786bf41f118c932a55ae38398b5ad81da98c2b9d935d6"),
+    (2, 3, 1.0, "8c5ee77c8fc6510bb4b575b60a4ba46fc4988d7a9a9ca12948ddff71c2a77048"),
+    (2, 10**30, 0.3, "f4c49aedeb10acaae338697a0f52530754d33cef4a1a1594d43dadb68c3e5d0c"),
+    (2, 10**30, 1.0, "d5571d0c0c31269f292dff2626ef71f4888c14f6f20d15ae5bb25749ad8e5301"),
+    (5, 0, 0.3, "9b60078881e0c9e39115a4ddfedddf8fcc3fbe32ca734fb02fc0a5169aee8673"),
+    (5, 0, 1.0, "f2f77084564318fb34afd55d58b0f8420f66b4ade6365e749acff37f491bbe71"),
+    (5, 1, 0.3, "4103c01cee386d92d62cbbc813c23f51a3d4b0375ea6a207dbb4ae9993c56648"),
+    (5, 1, 1.0, "005752e7685ff9d0c527defbe8ed546f7419362487756dc17aa9253289889faa"),
+    (5, 3, 0.3, "3d050ef8ee69be0378dd8e030c4010853667c7daf29239a5024d20413f06bdc3"),
+    (5, 3, 1.0, "2ebe5852403db96282e88363e26796d5eb1df034ce80f2400844bde356f217d0"),
+    (5, 10**30, 0.3, "511a33d63c1983fb2cbc14ddc2f16f1b216f939446d6e2debd8b5060c04882eb"),
+    (5, 10**30, 1.0, "9525ce786b9831fc237e24a2baf7527c4a0755a3fa801226628ac48f0fd127ad"),
+    (8, 0, 0.3, "4049d389e2a2dea1e71a665c6ffd55f6f67fd6c887d5bf5a39e14adf4fc43ea7"),
+    (8, 0, 1.0, "8cc2c29028fe96956b843ce175f78e35fddc734ccd95ae2eb5fd225e5031fdd7"),
+    (8, 1, 0.3, "57a18523280a68d9dd0e7c3a8392b22f9c3161b45652163aeccc6eac8c6d410b"),
+    (8, 1, 1.0, "8a74582cf0536644b37f962128722890ac1d1015a6405d4e8b3a5566ae8a4a78"),
+    (8, 3, 0.3, "855c34afaa5d2aed50536410fad5a4b8b6507852816c0edcc637be9ecb592b88"),
+    (8, 3, 1.0, "88ea5f84f9d595c97f097c700e2ae0a53df5458cb431609c9b3a5198dfb8773a"),
+    (8, 10**30, 0.3, "4edd0f2b332247abfc69a9f4e895503b37258509bab5aa8620a52b8941dda08a"),
+    (8, 10**30, 1.0, "2d997d428a565ab042e74235864f3eb8fd852e649e7f4ef09b8c48f2147c102d"),
+    ])
+    def test_random_async_pinned_bytes(self, Q, max_staleness, u, digest):
+        ch = generate_channels(ChannelGenSpec(Q=Q, N=6, seed=Q))
+        cfg = GameConfig(P=np.ones(Q), pmax=np.ones((Q, 6)), eps=np.full(Q, 0.05))
+        res = solve(ch, cfg, default_initial_profile(ch, cfg),
+                    Schedule(kind="random_async", seed=9, update_probability=u,
+                             max_staleness=max_staleness),
+                    SolverOptions(tol=1e-9, max_iters=40, record_trajectory=True))
+        assert hashlib.sha256(res.trajectory.tobytes() + res.mu.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gauss_seidel"])
+    def test_deterministic_schedules_keep_one_snapshot(self, kind, best_response_calls):
+        # 200 rounds of a 4 x 256 profile are 1.6 MB if every round is kept
+        ch = generate_channels(ChannelGenSpec(Q=4, N=256, seed=0))
+        cfg = GameConfig(P=np.ones(4), pmax=np.ones((4, 256)), eps=np.full(4, 0.05))
+        initial = default_initial_profile(ch, cfg)
+        peaks = []
+        for max_staleness in (0, 10**6):
+            tracemalloc.start()
+            try:
+                solve(ch, cfg, initial, Schedule(kind=kind, max_staleness=max_staleness),
+                      SolverOptions(tol=1e-300, max_iters=200))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert best_response_calls[0] == 2 * 200 * 4  # both solves ran every round
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestNonFiniteGame:
