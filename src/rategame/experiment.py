@@ -146,6 +146,8 @@ def perturb_channels(true_ch: ChannelSet, u: UncertaintySpec):
 
 
 def _spawn_seed(base: int, trial: int) -> np.random.SeedSequence:
+    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (base, trial)):
+        raise DomainError("a trial's seed and number must be integers >= 0")
     return np.random.SeedSequence([base, trial])
 
 
@@ -214,6 +216,8 @@ def run_trials(
     it: at Q=3, N=16 the C11 sweep fails it on every draw, at every delta and
     for every kind, while most solves still converge).
     """
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise DomainError("trials must be an integer >= 1")
     if cfg_template is None:
         cfg_template = default_game_config(gen.Q, gen.N)
     trial = partial(_sweep_trial, gen, uncertainty, cfg_template, schedule, opts)

@@ -27,6 +27,8 @@ from .core import (
 from .waterfill import best_response_powers, best_responses, block_norm, projected_profile
 
 SCHEDULE_KINDS = ("jacobi", "gauss_seidel", "random_async")
+# profile bytes a jacobi or gauss_seidel solve keeps to spot a cycle at its first repeat
+WATCH_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -135,15 +137,18 @@ def solve(
     water level that misses a budget raises NumericalError.
 
     A jacobi or gauss_seidel round is a function of the round-start profile
-    alone. Once the profile after round t + lam equals, byte for byte, the
-    profile after round t, every later round repeats one of rounds
-    t + 1 .. t + lam, whose convergence checks all failed, so no later round
-    can converge and round max_iters ends on the profile of round
-    t + lam + (max_iters - t - lam) mod lam. The solve stops there and
-    returns what the full run returns: that profile, its mu and residual,
-    iterations = max_iters and converged=False. random_async solves (their
-    rounds draw from the RNG) and solves that record a trajectory run every
-    round.
+    alone. Once the profile after round t equals, byte for byte, that after
+    an earlier round s, every later round repeats one of rounds s + 1 .. t,
+    whose convergence checks all failed, so round max_iters ends on the
+    profile of round t + (max_iters - t) mod (t - s). The solve stops there
+    and returns what the full run returns: that profile, its mu and residual,
+    iterations = max_iters and converged=False. Each profile is compared with
+    those of the latest max(1, WATCH_BYTES // profile bytes) rounds, which
+    finds a cycle that fits in them at its first repeat, and with those of
+    the latest rounds divisible by 1, 2, 4, ..., which find a cycle of period
+    lam entered by round mu by round mu + lam + 2**ceil(log2(lam)) - 1.
+    random_async solves (their rounds draw from the RNG) and solves that
+    record a trajectory run every round.
     """
     check_dims(ch, cfg, initial)
     assert_feasible(cfg, initial)
@@ -155,7 +160,10 @@ def solve(
     keep = schedule.max_staleness + 1 if schedule.kind == "random_async" else 1
     history = []
     trajectory = [p.copy()] if opts.record_trajectory else None
-    watch = _CycleWatch() if schedule.kind != "random_async" and trajectory is None else None
+    # profile bytes after a round -> that round, for the latest `window` rounds;
+    # anchors[j] is the (bytes, round) of the latest round divisible by 2**j
+    seen = {} if schedule.kind != "random_async" and trajectory is None else None
+    window, anchors = max(1, WATCH_BYTES // p.nbytes), {}
 
     F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps.tolist(), cfg.P.tolist(), list(cfg.pmax)
     converged = False
@@ -174,11 +182,15 @@ def solve(
             if residual <= 10 * opts.tol:
                 converged = True
                 break
-        if watch is not None:
-            period = watch.period(p, rnd)
-            if period is not None:
-                last = rnd + (opts.max_iters - rnd) % period
-                watch = None
+        if seen is not None:
+            key = p.tobytes()
+            s = next((r for k, r in anchors.values() if k == key), seen.setdefault(key, rnd))
+            if s < rnd:
+                last = rnd + (opts.max_iters - rnd) % (rnd - s)
+                seen = None
+            elif len(seen) > window:
+                del seen[next(iter(seen))]
+            anchors.update((j, (key, rnd)) for j in range((rnd & -rnd).bit_length()))
         if rnd == last:
             break
 
@@ -193,37 +205,6 @@ def solve(
         converged=converged,
         trajectory=np.asarray(trajectory) if trajectory is not None else None,
     )
-
-
-class _CycleWatch:
-    """Finds the round at which a deterministic solve closes an exact cycle.
-
-    A dict maps the hash of each round's profile bytes to the latest round
-    that produced it: one int per round. A hit at round t from round s keeps
-    a copy of the profile and proposes the period lam = t - s; the cycle is
-    proven only if the profile after round t + lam equals that copy byte for
-    byte. A hash collision therefore costs one failed proof, and no result
-    depends on the hash.
-    """
-
-    def __init__(self):
-        self.seen = {}
-        self.candidate = None  # (profile bytes, round that must repeat them, lam)
-
-    def period(self, p, rnd):
-        """lam once the profile after round rnd proves a cycle, else None."""
-        key = p.tobytes()
-        h = hash(key)
-        if self.candidate is None:
-            s = self.seen.get(h)
-            if s is not None:
-                self.candidate = key, 2 * rnd - s, rnd - s
-        elif rnd == self.candidate[1]:
-            if key == self.candidate[0]:
-                return self.candidate[2]
-            self.candidate = None
-        self.seen[h] = rnd
-        return None
 
 
 def write_trajectory_csv(result: EquilibriumResult, path):

@@ -6,6 +6,7 @@ next to the tests that draw them.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rategame import (
     full_bin_sets,
     interior_dp_deps,
     interior_p,
+    occupied_bins,
     partition_derivative,
     price_of_anarchy,
     random_feasible_profile,
@@ -37,9 +39,17 @@ from rategame import (
     split_sum_rate,
     split_sum_rate_slope,
     sum_rate,
+    user_rate,
 )
+from rategame import experiment
 from rategame.cli import main
-from rategame.experiment import ChannelGenSpec, UncertaintySpec, perturb_channels, run_trials
+from rategame.experiment import (
+    ChannelGenSpec,
+    UncertaintySpec,
+    generate_channels,
+    perturb_channels,
+    run_trials,
+)
 from rategame.twouser import AntiSymSystem, RegimeError, reconstruct_powers
 
 from conftest import classical_iwf, random_instance
@@ -493,6 +503,68 @@ def test_c11_monte_carlo_trends():
         f"median {_fmt(rayleigh_median, 1)}, "
         f"solves over 100 rounds {rayleigh_long} of {len(common)}, "
         f"uniqueness_ok share {_fmt(uniqueness_share, 2)}; {elapsed:.0f}s)",
+    )
+
+
+@pytest.mark.slow
+def test_c13_fdma_and_rate_floor(monkeypatch):
+    """The paper's FDMA and robustness claims on C11's Rayleigh sweep.
+
+    FDMA: the share of robust equilibria in which no bin is occupied by two
+    users must be nondecreasing in delta and reach 1 at the largest delta.
+    Rate floor: at every delta > 0, each robust user's rate on the true
+    channels must be at least its worst-case rate on the nominal ones. Each
+    rate is a sum of N log1p terms, so the floor allows a rounding gap of
+    2 * N * machine eps * max(1, |worst-case rate|).
+    """
+    start = time.time()
+    deltas = [0.0, 0.2, 0.4, 0.6]
+    trials, N = 100, 16
+    gen = ChannelGenSpec(Q=3, N=N, seed=2024)
+    profiles = {}  # (coefficient bytes, eps bytes) -> equilibrium profile
+
+    def capture(ch, cfg, *args):
+        result = solve(ch, cfg, *args)
+        profiles[ch.F.tobytes(), cfg.eps.tobytes()] = result.profile
+        return result
+
+    monkeypatch.setattr(experiment, "solve", capture)
+    run_trials(gen, [UncertaintySpec(delta=d, seed=2025) for d in deltas],
+               schedule=Schedule(kind="gauss_seidel"),
+               opts=SolverOptions(tol=1e-8, max_iters=1000), trials=trials)
+
+    P = experiment.default_game_config(gen.Q, N).P
+
+    def is_fdma(profile):
+        return bool((occupied_bins(profile, P).sum(axis=0) <= 1).all())
+
+    # each trial's channels and errors are rebuilt from their seeds, and the
+    # captured solves are looked up by the game they solved
+    robust_fdma, nominal_fdma = [0] * len(deltas), [0] * len(deltas)
+    least_slack, floor_ok = np.inf, True
+    for t in range(trials):
+        true_ch = generate_channels(replace(gen, seed=np.random.SeedSequence([2024, t])))
+        for w, d in enumerate(deltas):
+            nominal_ch, eps = perturb_channels(
+                true_ch, UncertaintySpec(delta=d, seed=np.random.SeedSequence([2025, t])))
+            robust = profiles[nominal_ch.F.tobytes(), eps.tobytes()]
+            nominal = profiles[nominal_ch.F.tobytes(), np.zeros(gen.Q).tobytes()]
+            robust_fdma[w] += is_fdma(robust)
+            nominal_fdma[w] += is_fdma(nominal)
+            if d == 0:
+                continue
+            for q in range(gen.Q):
+                worst = user_rate(nominal_ch, robust, q, eps[q])
+                slack = user_rate(true_ch, robust, q) - worst
+                least_slack = min(least_slack, slack)
+                floor_ok &= slack >= -2 * N * np.finfo(float).eps * max(1.0, abs(worst))
+    fdma_ok = (all(b >= a for a, b in zip(robust_fdma, robust_fdma[1:]))
+               and robust_fdma[-1] == trials)
+    report(
+        "C13 robust equilibria move to FDMA and keep their worst-case rate",
+        fdma_ok and floor_ok,
+        f"(robust FDMA {robust_fdma} of {trials}, nominal FDMA {nominal_fdma}; "
+        f"least rate-floor slack {least_slack:.2g}; {time.time() - start:.0f}s)",
     )
 
 

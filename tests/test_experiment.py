@@ -151,6 +151,24 @@ class TestRunTrials:
             assert ra.trial == rb.trial and ra.kind == rb.kind
             assert ra.sum_rate_true == rb.sum_rate_true
 
+    # per-trial seeds are SeedSequence([seed, trial]), so both must be plain
+    # integers; the specs still take a SeedSequence for a single draw
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, u: run_trials(replace(g, seed=np.random.SeedSequence(5)), [u]),
+         "a trial's seed and number must be integers >= 0"),
+        (lambda g, u: run_trials(g, [replace(u, seed=np.random.SeedSequence(6))]),
+         "a trial's seed and number must be integers >= 0"),
+        (lambda g, u: run_single_trial(g, u, default_game_config(2, 3), Schedule(),
+                                       SolverOptions(), -1),
+         "a trial's seed and number must be integers >= 0"),
+        (lambda g, u: run_trials(g, [u], trials=2.5), "trials must be an integer >= 1"),
+        (lambda g, u: run_trials(g, [u], trials=0), "trials must be an integer >= 1"),
+    ], ids=["gen_seed_sequence", "uncertainty_seed_sequence", "negative_trial",
+            "fractional_trials", "no_trials"])
+    def test_input_checks(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call(ChannelGenSpec(Q=2, N=3, seed=5), UncertaintySpec(0.2, seed=6))
+
 
 class TestSweep:
     """One trial spans the delta grid and solves its perfect game once."""

@@ -1,4 +1,3 @@
-import builtins
 import contextlib
 import hashlib
 import tracemalloc
@@ -185,10 +184,19 @@ class TestCycleExit:
     def test_jacobi_ping_pong_exits(self, best_response_calls):
         calls = best_response_calls
         ch, cfg = ping_pong_game()
-        res = solve(ch, cfg, default_initial_profile(ch, cfg), Schedule(kind="jacobi"),
-                    self.OPTS)
-        assert calls[0] <= 20  # 2 * 1000 without the exit
+        initial = default_initial_profile(ch, cfg)
+        res = solve(ch, cfg, initial, Schedule(kind="jacobi"), self.OPTS)
+        # the profile after round 5 repeats round 3's, so round 6 is the
+        # last one run: 2 * 6 best responses, not 2 * 1000
+        assert calls[0] == 12
         assert res.iterations == 1000 and res.converged is False
+        # a one-round window misses the period-2 cycle; the profile after
+        # round 6 repeats that of round 4, the latest even round
+        calls[0] = 0
+        with mock.patch.object(solver, "WATCH_BYTES", 1):
+            short = solve(ch, cfg, initial, Schedule(kind="jacobi"), self.OPTS)
+        assert calls[0] == 12
+        assert_same_result(short, res)
 
     def test_random_async_runs_every_round(self, best_response_calls):
         calls = best_response_calls
@@ -212,8 +220,9 @@ class TestCycleExit:
 
     # strongly coupled games: about a third stop at max_iters and about one in
     # ten exits on a cycle; the solve that may exit must return what the
-    # recorded solve, which runs every round, returns, also with a 2-bit hash,
-    # under which most proposed cycles collide and fail their byte proof
+    # recorded solve, which runs every round, returns, also with a 2-round
+    # watch window, which evicts every round and leaves longer cycles to the
+    # power-of-two round
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(Q=st.integers(2, 4), N=st.integers(2, 8),
            gain=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1),
@@ -229,10 +238,9 @@ class TestCycleExit:
         initial = default_initial_profile(ch, cfg)
         full = solve(ch, cfg, initial, Schedule(kind=kind),
                      SolverOptions(tol=1e-8, max_iters=max_iters, record_trajectory=True))
-        tiny_hash = mock.patch.object(solver, "hash", create=True,
-                                      new=lambda b: builtins.hash(b) & 3)
-        for hashing in (contextlib.nullcontext(), tiny_hash):
-            with hashing:
+        two_rounds = mock.patch.object(solver, "WATCH_BYTES", 2 * Q * N * 8)
+        for watch in (contextlib.nullcontext(), two_rounds):
+            with watch:
                 fast = solve(ch, cfg, initial, Schedule(kind=kind),
                              SolverOptions(tol=1e-8, max_iters=max_iters))
             assert_same_result(fast, full)
