@@ -13,6 +13,7 @@ iterates.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,10 @@ def empirical_contraction_check(
     The ratio never exceeds the contraction modulus taken over all bins.
     """
     check_dims(ch, cfg)
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise DomainError("trials must be an integer >= 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError("seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

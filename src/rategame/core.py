@@ -13,6 +13,7 @@ operations are pure functions and may assume valid inputs.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -182,6 +183,12 @@ def check_dims(ch: ChannelSet, cfg: GameConfig = None, profile: PowerProfile = N
         )
 
 
+def check_user(q, Q: int):
+    """Raise DomainError unless q is an integer user index in 0..Q-1."""
+    if isinstance(q, bool) or not (isinstance(q, numbers.Integral) and 0 <= q < Q):
+        raise DomainError(f"user index must be an integer in 0..{Q - 1}, got {q!r}")
+
+
 def assert_feasible(cfg: GameConfig, profile: PowerProfile):
     """Check mask bounds and per-user total power; the caller has checked (Q, N)."""
     if np.any(profile.p > cfg.pmax * (1 + 1e-12) + 1e-15):
@@ -228,6 +235,7 @@ def worst_case_interference(
 ) -> np.ndarray:
     """Worst-case noise-plus-interference Phi_q(k) seen by user q on every bin."""
     check_dims(ch, cfg, profile)
+    check_user(q, ch.Q)
     return interference_level(ch.F, ch.sigma2, cfg.eps[q], profile.p, q)
 
 
@@ -240,6 +248,7 @@ def user_rate(
     evaluate the worst-case rate with that uncertainty bound instead.
     """
     check_dims(ch, profile=profile)
+    check_user(q, ch.Q)
     if not eps_override >= 0:
         raise DomainError("eps_override must be nonnegative")
     return float(_rate(ch.F, ch.sigma2, eps_override, profile.p, q))

@@ -201,7 +201,6 @@ def run_single_trial(
 def run_trials(
     gen: ChannelGenSpec,
     uncertainty: list[UncertaintySpec],
-    cfg_template: GameConfig = None,
     schedule: Schedule = Schedule(kind="gauss_seidel"),
     opts: SolverOptions = DEFAULT_SOLVER_OPTIONS,
     trials: int = 1,
@@ -218,9 +217,8 @@ def run_trials(
     """
     if not (isinstance(trials, numbers.Integral) and trials >= 1):
         raise DomainError("trials must be an integer >= 1")
-    if cfg_template is None:
-        cfg_template = default_game_config(gen.Q, gen.N)
-    trial = partial(_sweep_trial, gen, uncertainty, cfg_template, schedule, opts)
+    trial = partial(_sweep_trial, gen, uncertainty, default_game_config(gen.Q, gen.N),
+                    schedule, opts)
     # both maps yield in trial order, which keeps the output deterministic
     results = list((map if pool is None else pool.map)(trial, range(trials)))
     return [[record for per_width in results for record in per_width[w]]

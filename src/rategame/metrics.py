@@ -77,7 +77,7 @@ def fdma_condition_check(ch: ChannelSet, eps: float):
     """
     if ch.Q != 2:
         raise UnsupportedArityError("FDMA condition is defined for Q = 2 only")
-    if eps < 0:
+    if not eps >= 0:
         raise DomainError("eps must be nonnegative")
     f21 = ch.F[1, 0, :]
     f12 = ch.F[0, 1, :]

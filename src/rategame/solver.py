@@ -27,8 +27,6 @@ from .core import (
 from .waterfill import best_response_powers, best_responses, block_norm, projected_profile
 
 SCHEDULE_KINDS = ("jacobi", "gauss_seidel", "random_async")
-# profile bytes a jacobi or gauss_seidel solve keeps to spot a cycle at its first repeat
-WATCH_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -143,10 +141,10 @@ def solve(
     profile of round t + (max_iters - t) mod (t - s). The solve stops there
     and returns what the full run returns: that profile, its mu and residual,
     iterations = max_iters and converged=False. Each profile is compared with
-    those of the latest max(1, WATCH_BYTES // profile bytes) rounds, which
-    finds a cycle that fits in them at its first repeat, and with those of
-    the latest rounds divisible by 1, 2, 4, ..., which find a cycle of period
-    lam entered by round mu by round mu + lam + 2**ceil(log2(lam)) - 1.
+    those of the latest rounds divisible by 1, 2, 4, ... (Gosper's loop
+    detector), which find a cycle of period lam entered by round mu by round
+    mu + lam + 2**ceil(log2(lam)) - 1 while keeping at most
+    max_iters.bit_length() profiles.
     random_async solves (their rounds draw from the RNG) and solves that
     record a trajectory run every round.
     """
@@ -160,10 +158,8 @@ def solve(
     keep = schedule.max_staleness + 1 if schedule.kind == "random_async" else 1
     history = []
     trajectory = [p.copy()] if opts.record_trajectory else None
-    # profile bytes after a round -> that round, for the latest `window` rounds;
     # anchors[j] is the (bytes, round) of the latest round divisible by 2**j
-    seen = {} if schedule.kind != "random_async" and trajectory is None else None
-    window, anchors = max(1, WATCH_BYTES // p.nbytes), {}
+    anchors = {} if schedule.kind != "random_async" and trajectory is None else None
 
     F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps.tolist(), cfg.P.tolist(), list(cfg.pmax)
     converged = False
@@ -182,15 +178,14 @@ def solve(
             if residual <= 10 * opts.tol:
                 converged = True
                 break
-        if seen is not None:
+        if anchors is not None:
             key = p.tobytes()
-            s = next((r for k, r in anchors.values() if k == key), seen.setdefault(key, rnd))
-            if s < rnd:
+            s = next((r for k, r in anchors.values() if k == key), None)
+            if s is not None:
                 last = rnd + (opts.max_iters - rnd) % (rnd - s)
-                seen = None
-            elif len(seen) > window:
-                del seen[next(iter(seen))]
-            anchors.update((j, (key, rnd)) for j in range((rnd & -rnd).bit_length()))
+                anchors = None
+            else:
+                anchors.update((j, (key, rnd)) for j in range((rnd & -rnd).bit_length()))
         if rnd == last:
             break
 

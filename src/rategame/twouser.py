@@ -48,7 +48,7 @@ class AntiSymSystem:
             raise DomainError("m must be >= 1")
         if not self.sigma2 > 0:
             raise DomainError("sigma2 must be positive")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise DomainError("eps must be nonnegative")
 
     def denominator(self) -> float:

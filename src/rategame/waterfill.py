@@ -9,6 +9,8 @@ Euclidean projection of -Phi onto the admissible set
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .core import (
@@ -20,6 +22,7 @@ from .core import (
     POWER_SUM_RTOL,
     PowerProfile,
     check_dims,
+    check_user,
     interference_level,
     worst_case_interference,
 )
@@ -34,12 +37,14 @@ def find_water_level(phi, P: float, pmax) -> float:
     """
     phi = np.asarray(phi, dtype=float)
     pmax = np.asarray(pmax, dtype=float)
-    if phi.shape != pmax.shape:
-        raise DomainError("phi and pmax must have the same shape")
+    if phi.ndim != 1 or phi.shape != pmax.shape:
+        raise DomainError("phi and pmax must be vectors of the same shape")
     if not (np.isfinite(phi).all() and np.isfinite(pmax).all()):
         raise DomainError("phi and pmax must be finite")
     if (pmax < 0).any():
         raise DomainError("pmax must be nonnegative")
+    if not isinstance(P, numbers.Real):
+        raise DomainError("total power must be a real number")
     if not P > 0:
         raise DomainError("total power must be positive")
     if pmax.sum() <= P:
@@ -117,6 +122,7 @@ def best_responses(ch: ChannelSet, cfg: GameConfig, p):
 def robust_best_response(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile, q: int):
     """Powers and water level of user q's best response under worst-case interference."""
     check_dims(ch, cfg, profile)
+    check_user(q, ch.Q)
     return best_response_powers(ch.F, ch.sigma2, cfg.eps[q], profile.p, q, cfg.P[q], cfg.pmax[q])
 
 

@@ -9,13 +9,20 @@ from rategame import (
     GameConfig,
     PowerProfile,
     StructuralError,
+    empirical_contraction_check,
+    fdma_condition_check,
+    find_water_level,
     price_of_anarchy,
+    project_to_simplex,
+    projection_residual,
+    robust_best_response,
     solve,
     sum_rate,
     user_rate,
     worst_case_interference,
 )
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_profile, split_sum_rate
+from rategame.waterfill import waterfill_powers
 
 from conftest import random_instance
 
@@ -244,3 +251,45 @@ class TestValidation:
     def test_input_checks(self, build, error, message):
         with pytest.raises(error, match=re.escape(message)):
             build()
+
+
+class TestPublicEntryRefusals:
+    """Bad arguments at a public function end in a DomainError, not a numpy or Python error."""
+
+    CH = two_user_channel(2, 1.0, 0.1)
+    CFG = config(2, 2)
+    PROFILE = PowerProfile(np.full((2, 2), 0.5))
+    GRID = np.ones((2, 3))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda c: user_rate(c.CH, c.PROFILE, -1), "user index must be an integer in 0..1, got -1"),
+        (lambda c: user_rate(c.CH, c.PROFILE, 2), "got 2"),
+        (lambda c: user_rate(c.CH, c.PROFILE, 1.0), "got 1.0"),
+        (lambda c: user_rate(c.CH, c.PROFILE, True), "got True"),
+        (lambda c: worst_case_interference(c.CH, c.CFG, c.PROFILE, -1), "got -1"),
+        (lambda c: robust_best_response(c.CH, c.CFG, c.PROFILE, -1), "got -1"),
+        (lambda c: projection_residual(c.CH, c.CFG, c.PROFILE, -1, [0.5, 0.5]), "got -1"),
+        (lambda c: empirical_contraction_check(c.CH, c.CFG, -1, 0),
+         "trials must be an integer >= 1"),
+        (lambda c: empirical_contraction_check(c.CH, c.CFG, 2.5, 0),
+         "trials must be an integer >= 1"),
+        (lambda c: empirical_contraction_check(c.CH, c.CFG, 2, -1),
+         "seed must be an integer >= 0"),
+        (lambda c: find_water_level(c.GRID, 1.0, c.GRID), "vectors of the same shape"),
+        (lambda c: find_water_level([1.0, 1.0], np.ones(2), [2.0, 2.0]),
+         "total power must be a real number"),
+        (lambda c: find_water_level(np.float64(1.0), 1.0, np.asarray(2.0)),
+         "vectors of the same shape"),
+        (lambda c: waterfill_powers(c.GRID, 1.0, c.GRID), "vectors of the same shape"),
+        (lambda c: project_to_simplex(c.GRID, 1.0, c.GRID), "vectors of the same shape"),
+        (lambda c: AntiSymSystem(alpha=0.2, m=2, sigma2=0.1, eps=float("nan")),
+         "eps must be nonnegative"),
+        (lambda c: fdma_condition_check(c.CH, float("nan")), "eps must be nonnegative"),
+    ], ids=["rate_q_negative", "rate_q_Q", "rate_q_float", "rate_q_bool", "phi_q_negative",
+            "best_response_q_negative", "projection_q_negative", "contraction_trials_negative",
+            "contraction_trials_float", "contraction_seed_negative", "water_level_2d",
+            "water_level_array_P", "water_level_0d", "waterfill_2d", "simplex_2d",
+            "antisym_eps_nan", "fdma_eps_nan"])
+    def test_refused_with_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(self)

@@ -1,7 +1,6 @@
 import contextlib
 import hashlib
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from rategame import (
     solve,
     write_trajectory_csv,
 )
-from rategame import solver
 from rategame.conditions import block_norm
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config, interior_p
 
@@ -186,17 +184,10 @@ class TestCycleExit:
         ch, cfg = ping_pong_game()
         initial = default_initial_profile(ch, cfg)
         res = solve(ch, cfg, initial, Schedule(kind="jacobi"), self.OPTS)
-        # the profile after round 5 repeats round 3's, so round 6 is the
-        # last one run: 2 * 6 best responses, not 2 * 1000
+        # the profile after round 6 repeats that of round 4, the latest even
+        # round, so round 6 is the last one run: 2 * 6 best responses, not 2 * 1000
         assert calls[0] == 12
         assert res.iterations == 1000 and res.converged is False
-        # a one-round window misses the period-2 cycle; the profile after
-        # round 6 repeats that of round 4, the latest even round
-        calls[0] = 0
-        with mock.patch.object(solver, "WATCH_BYTES", 1):
-            short = solve(ch, cfg, initial, Schedule(kind="jacobi"), self.OPTS)
-        assert calls[0] == 12
-        assert_same_result(short, res)
 
     def test_random_async_runs_every_round(self, best_response_calls):
         calls = best_response_calls
@@ -218,11 +209,27 @@ class TestCycleExit:
         assert calls[0] == 2 * 1000
         assert res.trajectory.shape == (1001, 2, 2)
 
+    @pytest.mark.parametrize("kind", ["jacobi", "gauss_seidel"])
+    def test_watch_keeps_one_profile_per_power_of_two(self, kind, best_response_calls):
+        # a 4 x 256 profile is 8 KB; 200 rounds keep at most 200.bit_length() = 8
+        ch = generate_channels(ChannelGenSpec(Q=4, N=256, seed=0))
+        cfg = GameConfig(P=np.ones(4), pmax=np.ones((4, 256)), eps=np.full(4, 0.05))
+        initial = default_initial_profile(ch, cfg)
+        peaks = []
+        for max_iters in (20, 200):
+            tracemalloc.start()
+            try:
+                solve(ch, cfg, initial, Schedule(kind=kind),
+                      SolverOptions(tol=1e-300, max_iters=max_iters))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert best_response_calls[0] == (20 + 200) * 4  # both solves ran every round
+        assert peaks[1] <= peaks[0] + 8 * initial.p.nbytes
+
     # strongly coupled games: about a third stop at max_iters and about one in
     # ten exits on a cycle; the solve that may exit must return what the
-    # recorded solve, which runs every round, returns, also with a 2-round
-    # watch window, which evicts every round and leaves longer cycles to the
-    # power-of-two round
+    # recorded solve, which runs every round, returns
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(Q=st.integers(2, 4), N=st.integers(2, 8),
            gain=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1),
@@ -238,13 +245,10 @@ class TestCycleExit:
         initial = default_initial_profile(ch, cfg)
         full = solve(ch, cfg, initial, Schedule(kind=kind),
                      SolverOptions(tol=1e-8, max_iters=max_iters, record_trajectory=True))
-        two_rounds = mock.patch.object(solver, "WATCH_BYTES", 2 * Q * N * 8)
-        for watch in (contextlib.nullcontext(), two_rounds):
-            with watch:
-                fast = solve(ch, cfg, initial, Schedule(kind=kind),
-                             SolverOptions(tol=1e-8, max_iters=max_iters))
-            assert_same_result(fast, full)
-            assert full.trajectory[-1].tobytes() == fast.profile.p.tobytes()
+        fast = solve(ch, cfg, initial, Schedule(kind=kind),
+                     SolverOptions(tol=1e-8, max_iters=max_iters))
+        assert_same_result(fast, full)
+        assert full.trajectory[-1].tobytes() == fast.profile.p.tobytes()
 
 
 class TestSnapshots:
