@@ -13,12 +13,12 @@ iterates.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelSet, DomainError, GameConfig, StructuralError, check_dims, format_value
+from .core import (ChannelSet, DomainError, GameConfig, StructuralError, check_dims,
+                   format_value, is_int)
 from .waterfill import best_responses, block_norm, random_feasible_profile, waterfill_powers
 
 
@@ -135,9 +135,9 @@ def empirical_contraction_check(
     The ratio never exceeds the contraction modulus taken over all bins.
     """
     check_dims(ch, cfg)
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+    if not (is_int(trials) and trials >= 1):
         raise DomainError("trials must be an integer >= 1")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (is_int(seed) and seed >= 0):
         raise DomainError("seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
     worst = 0.0

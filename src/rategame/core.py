@@ -183,9 +183,14 @@ def check_dims(ch: ChannelSet, cfg: GameConfig = None, profile: PowerProfile = N
         )
 
 
+def is_int(value) -> bool:
+    """True for an integer that is not a bool (Python counts bools as integers)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_user(q, Q: int):
     """Raise DomainError unless q is an integer user index in 0..Q-1."""
-    if isinstance(q, bool) or not (isinstance(q, numbers.Integral) and 0 <= q < Q):
+    if not (is_int(q) and 0 <= q < Q):
         raise DomainError(f"user index must be an integer in 0..{Q - 1}, got {q!r}")
 
 
@@ -211,10 +216,16 @@ def interference_level(F, sigma2, eps_q: float, p, q: int) -> np.ndarray:
     only rows r != q enter; eps_q = 0 gives the nominal level. The solver,
     the condition checks and the rate functions all compute Phi here.
     """
-    phi = sigma2[q] + np.einsum("rk,rk->k", F[:, q, :], p)
+    phi = np.einsum("rk,rk->k", F[:, q, :], p)
+    phi += sigma2[q]
     if eps_q > 0:
-        sq = (p * p).sum(axis=0) - p[q] * p[q]
-        phi = phi + eps_q * np.sqrt(np.maximum(sq, 0.0))
+        squares = p * p
+        sq = np.add.reduce(squares, 0)
+        sq -= squares[q]
+        np.maximum(sq, 0.0, out=sq)
+        np.sqrt(sq, out=sq)
+        sq *= eps_q
+        phi += sq
     return phi
 
 

@@ -15,13 +15,12 @@ reuse the same channel and error realizations (paired comparisons).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .core import ChannelSet, DomainError, GameConfig, sum_rate, write_csv
+from .core import ChannelSet, DomainError, GameConfig, is_int, sum_rate, write_csv
 from .conditions import build_report
 from .metrics import occupancy_counts
 from .solver import Schedule, SolverOptions, default_initial_profile, solve
@@ -48,8 +47,7 @@ SUMMARY_COLUMNS = ("n_included", "n_excluded",
 
 
 def _check_seed(seed):
-    if not (isinstance(seed, np.random.SeedSequence)
-            or isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (isinstance(seed, np.random.SeedSequence) or is_int(seed) and seed >= 0):
         raise DomainError("seed must be an integer >= 0 or a SeedSequence")
 
 
@@ -65,7 +63,7 @@ class ChannelGenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.Q, numbers.Integral) and isinstance(self.N, numbers.Integral)):
+        if not (is_int(self.Q) and is_int(self.N)):
             raise DomainError("Q and N must be integers")
         if self.Q < 1 or self.N < 1:
             raise DomainError("Q and N must be positive")
@@ -146,7 +144,7 @@ def perturb_channels(true_ch: ChannelSet, u: UncertaintySpec):
 
 
 def _spawn_seed(base: int, trial: int) -> np.random.SeedSequence:
-    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (base, trial)):
+    if not all(is_int(v) and v >= 0 for v in (base, trial)):
         raise DomainError("a trial's seed and number must be integers >= 0")
     return np.random.SeedSequence([base, trial])
 
@@ -215,7 +213,7 @@ def run_trials(
     it: at Q=3, N=16 the C11 sweep fails it on every draw, at every delta and
     for every kind, while most solves still converge).
     """
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+    if not (is_int(trials) and trials >= 1):
         raise DomainError("trials must be an integer >= 1")
     trial = partial(_sweep_trial, gen, uncertainty, default_game_config(gen.Q, gen.N),
                     schedule, opts)

@@ -10,7 +10,7 @@ probability u per round against neighbor state of bounded age).
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core import (
     PowerProfile,
     assert_feasible,
     check_dims,
+    is_int,
     write_csv,
 )
 from .waterfill import best_response_powers, best_responses, block_norm, projected_profile
@@ -48,9 +49,9 @@ class Schedule:
             raise DomainError(f"unknown schedule kind {self.kind!r}")
         if not (0.0 < self.update_probability <= 1.0):
             raise DomainError("update_probability must be in (0, 1]")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (is_int(self.seed) and self.seed >= 0):
             raise DomainError("seed must be an integer >= 0")
-        if not isinstance(self.max_staleness, numbers.Integral):
+        if not is_int(self.max_staleness):
             raise DomainError("max_staleness must be an integer")
         if self.max_staleness < 0:
             raise DomainError("max_staleness must be >= 0")
@@ -65,7 +66,9 @@ class SolverOptions:
     def __post_init__(self):
         if not self.tol > 0:
             raise DomainError("tol must be positive")
-        if not isinstance(self.max_iters, numbers.Integral):
+        if self.tol == math.inf:
+            raise DomainError("tol must be finite")
+        if not is_int(self.max_iters):
             raise DomainError("max_iters must be an integer")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")

@@ -9,6 +9,7 @@ Euclidean projection of -Phi onto the admissible set
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -58,24 +59,42 @@ def _sweep(phi, P, pmax) -> float:
     # add an exact +-0.0 to the fill, and the crossing j - 1 ends its tie group,
     # whose slope counts the whole group: no order among ties can change mu.
     n = phi.size
-    events = np.concatenate((phi, phi + pmax))
+    events = np.empty(2 * n)
+    events[:n] = phi
+    np.add(phi, pmax, out=events[n:])
     order = events.argsort()
     b = events[order]
-    slope = np.where(order < n, 1.0, -1.0).cumsum()  # slope right of each breakpoint
-    filled = np.empty(2 * n)
+    slope = _signs(n)[order]
+    np.add.accumulate(slope, out=slope)  # slope right of each breakpoint
+    filled = events  # the sorted copy b holds the events from here on
     filled[0] = 0.0
-    (slope[:-1] * (b[1:] - b[:-1])).cumsum(out=filled[1:])
+    gaps = filled[1:]
+    np.subtract(b[1:], b[:-1], out=gaps)
+    gaps *= slope[:-1]
+    np.add.accumulate(gaps, out=gaps)
 
     j = int(filled.searchsorted(P))
     if j == filled.size:  # rounding kept the fill below P
         raise NumericalError("phi dwarfs the masks: the fill cannot reach P in floating point")
-    lo, fill, rate = b[j - 1], filled[j - 1], slope[j - 1]
-    mu = b[j] if filled[j] == P else lo + (P - fill) / rate
+    lo, fill, rate = b.item(j - 1), filled.item(j - 1), slope.item(j - 1)
+    mu = b.item(j) if filled.item(j) == P else lo + (P - fill) / rate
     # the fill at mu must meet P; it does not when the step to P rounds away
     # against a large b[j - 1], or when phi + pmax overflowed
     if not abs(fill + rate * (mu - lo) - P) <= POWER_SUM_RTOL * P:
         raise NumericalError("phi + pmax overflows or dwarfs P: the water level misses P")
     return float(mu)
+
+
+@functools.cache
+def _signs(n):
+    """Read-only slope steps of the 2n sweep events: +1 for a bin's opening, -1 for its close.
+
+    Cached: a process keeps one such vector for each bin count it solves.
+    """
+    signs = np.ones(2 * n)
+    signs[n:] = -1.0
+    signs.setflags(write=False)
+    return signs
 
 
 def waterfill_powers(phi, P: float, pmax):
@@ -97,10 +116,12 @@ def best_response_powers(F, sigma2, eps_q: float, p, q: int, P_q: float, pmax_q)
     p is the full (Q, N) power matrix (only rows r != q are read); phi alone is checked.
     """
     phi = interference_level(F, sigma2, eps_q, p, q)
-    if not np.isfinite(phi).all():
+    if not np.logical_and.reduce(np.isfinite(phi)):
         raise DomainError("phi and pmax must be finite")
     mu = _sweep(phi, P_q, pmax_q)
-    return np.minimum(np.maximum(mu - phi, 0.0), pmax_q), mu
+    powers = np.subtract(mu, phi, out=phi)
+    np.maximum(powers, 0.0, out=powers)
+    return np.minimum(powers, pmax_q, out=powers), mu
 
 
 def block_norm(mat) -> float:

@@ -423,7 +423,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("option, message", [
         (["--tol", "-1"], "tol must be positive"),
         (["--max-iters", "0"], "max_iters must be >= 1"),
-    ], ids=["tol", "max_iters"])
+        (["--tol", "inf"], "tol must be finite"),
+    ], ids=["tol", "max_iters", "tol_inf"])
     def test_bad_solve_option_names_solver_section(self, tmp_path, capsys, option, message):
         path = write_fig1(tmp_path)
         assert main(["solve", str(path)] + option) == 1

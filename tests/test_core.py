@@ -21,6 +21,7 @@ from rategame import (
     user_rate,
     worst_case_interference,
 )
+from rategame.core import interference_level
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_profile, split_sum_rate
 from rategame.waterfill import waterfill_powers
 
@@ -96,6 +97,25 @@ class TestWorstCaseInterference:
         base = worst_case_interference(ch, cfg, prof, 0)
         more = worst_case_interference(ch, cfg, PowerProfile(bumped), 0)
         assert np.all(more >= base)
+
+    # Phi's bits against the docstring formula, spelled in this order:
+    # sigma2[q] + einsum, then + eps_q * sqrt(max(sum_r p_r^2 - p_q^2, 0))
+    @pytest.mark.parametrize("Q, N", [(1, 1), (1, 9), (2, 1), (2, 5), (3, 16), (5, 33),
+                                      (8, 64), (16, 1024)])
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 2.5])
+    def test_bits_match_the_formula(self, Q, N, eps):
+        rng = np.random.default_rng([Q, N])
+        F = rng.exponential(size=(Q, Q, N)) * 10.0 ** rng.uniform(-4, 4, (Q, Q, N))
+        F[np.arange(Q), np.arange(Q), :] = 0.0
+        sigma2 = rng.exponential(size=(Q, N))
+        # powers over eight decades, a quarter of them exactly zero
+        p = rng.exponential(size=(Q, N)) * 10.0 ** rng.uniform(-6, 2, (Q, N))
+        p[rng.random((Q, N)) < 0.25] = 0.0
+        for q in range(Q):
+            phi = sigma2[q] + np.einsum("rk,rk->k", F[:, q, :], p)
+            if eps > 0:
+                phi = phi + eps * np.sqrt(np.maximum((p * p).sum(axis=0) - p[q] * p[q], 0.0))
+            assert interference_level(F, sigma2, eps, p, q).tobytes() == phi.tobytes()
 
 
 class TestUserRate:
@@ -285,11 +305,16 @@ class TestPublicEntryRefusals:
         (lambda c: AntiSymSystem(alpha=0.2, m=2, sigma2=0.1, eps=float("nan")),
          "eps must be nonnegative"),
         (lambda c: fdma_condition_check(c.CH, float("nan")), "eps must be nonnegative"),
+        (lambda c: empirical_contraction_check(c.CH, c.CFG, True, 0),
+         "trials must be an integer >= 1"),
+        (lambda c: empirical_contraction_check(c.CH, c.CFG, 2, False),
+         "seed must be an integer >= 0"),
     ], ids=["rate_q_negative", "rate_q_Q", "rate_q_float", "rate_q_bool", "phi_q_negative",
             "best_response_q_negative", "projection_q_negative", "contraction_trials_negative",
             "contraction_trials_float", "contraction_seed_negative", "water_level_2d",
             "water_level_array_P", "water_level_0d", "waterfill_2d", "simplex_2d",
-            "antisym_eps_nan", "fdma_eps_nan"])
+            "antisym_eps_nan", "fdma_eps_nan", "contraction_trials_bool",
+            "contraction_seed_bool"])
     def test_refused_with_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call(self)

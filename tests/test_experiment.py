@@ -63,8 +63,11 @@ class TestGenerateChannels:
         (dict(Q=2.0), "Q and N must be integers"),
         (dict(seed=-1), "seed must be an integer >= 0 or a SeedSequence"),
         (dict(seed=2.7), "seed must be an integer >= 0 or a SeedSequence"),
+        (dict(Q=True), "Q and N must be integers"),
+        (dict(seed=False), "seed must be an integer >= 0 or a SeedSequence"),
     ], ids=["no_users", "no_bins", "cross_variance", "direct_variance", "noise_power",
-            "fractional_bins", "float_users", "negative_seed", "fractional_seed"])
+            "fractional_bins", "float_users", "negative_seed", "fractional_seed",
+            "bool_users", "bool_seed"])
     def test_spec_checks(self, fields, message):
         with pytest.raises(DomainError, match=message):
             ChannelGenSpec(**{"Q": 2, "N": 2, **fields})
@@ -75,7 +78,8 @@ class TestPerturbChannels:
         (dict(delta=1.0), r"delta must lie in \[0, 1\)"),
         (dict(seed=-1), "seed must be an integer >= 0 or a SeedSequence"),
         (dict(seed=1.5), "seed must be an integer >= 0 or a SeedSequence"),
-    ], ids=["delta", "negative_seed", "fractional_seed"])
+        (dict(seed=True), "seed must be an integer >= 0 or a SeedSequence"),
+    ], ids=["delta", "negative_seed", "fractional_seed", "bool_seed"])
     def test_spec_checks(self, fields, message):
         with pytest.raises(DomainError, match=message):
             UncertaintySpec(**{"delta": 0.1, **fields})
@@ -163,8 +167,12 @@ class TestRunTrials:
          "a trial's seed and number must be integers >= 0"),
         (lambda g, u: run_trials(g, [u], trials=2.5), "trials must be an integer >= 1"),
         (lambda g, u: run_trials(g, [u], trials=0), "trials must be an integer >= 1"),
+        (lambda g, u: run_trials(g, [u], trials=True), "trials must be an integer >= 1"),
+        (lambda g, u: run_single_trial(g, u, default_game_config(2, 3), Schedule(),
+                                       SolverOptions(), True),
+         "a trial's seed and number must be integers >= 0"),
     ], ids=["gen_seed_sequence", "uncertainty_seed_sequence", "negative_trial",
-            "fractional_trials", "no_trials"])
+            "fractional_trials", "no_trials", "bool_trials", "bool_trial"])
     def test_input_checks(self, call, message):
         with pytest.raises(DomainError, match=message):
             call(ChannelGenSpec(Q=2, N=3, seed=5), UncertaintySpec(0.2, seed=6))

@@ -373,8 +373,14 @@ def unrecorded_result():
     (lambda path: SolverOptions(max_iters=2.5), "max_iters must be an integer"),
     (lambda path: write_trajectory_csv(unrecorded_result(), path),
      "result carries no trajectory"),
+    (lambda path: SolverOptions(tol=float("inf")), "tol must be finite"),
+    (lambda path: SolverOptions(max_iters=True), "max_iters must be an integer"),
+    (lambda path: Schedule(seed=True), r"seed must be an integer >= 0"),
+    (lambda path: Schedule(kind="random_async", max_staleness=True),
+     "max_staleness must be an integer"),
 ], ids=["kind", "update_probability", "max_staleness", "max_staleness_float", "seed_negative",
-        "max_iters_float", "no_trajectory"])
+        "max_iters_float", "no_trajectory", "tol_inf", "max_iters_bool", "seed_bool",
+        "max_staleness_bool"])
 def test_input_checks(tmp_path, call, message):
     path = tmp_path / "t.csv"
     with pytest.raises(DomainError, match=message):
