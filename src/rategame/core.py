@@ -188,6 +188,11 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a real number that is not a bool (Python counts bools as numbers)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_user(q, Q: int):
     """Raise DomainError unless q is an integer user index in 0..Q-1."""
     if not (is_int(q) and 0 <= q < Q):

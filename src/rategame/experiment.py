@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ChannelSet, DomainError, GameConfig, is_int, sum_rate, write_csv
+from .core import ChannelSet, DomainError, GameConfig, is_int, is_real, sum_rate, write_csv
 from .conditions import build_report
 from .metrics import occupancy_counts
 from .solver import Schedule, SolverOptions, default_initial_profile, solve
@@ -68,9 +68,9 @@ class ChannelGenSpec:
         if self.Q < 1 or self.N < 1:
             raise DomainError("Q and N must be positive")
         _check_seed(self.seed)
-        if not (self.cross_variance > 0 and self.direct_variance > 0):
+        if not all(is_real(v) and v > 0 for v in (self.cross_variance, self.direct_variance)):
             raise DomainError("variances must be positive")
-        if not self.noise_power > 0:
+        if not (is_real(self.noise_power) and self.noise_power > 0):
             raise DomainError("noise power must be positive")
 
 
@@ -82,7 +82,7 @@ class UncertaintySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.delta < 1.0):
+        if not (is_real(self.delta) and 0.0 <= self.delta < 1.0):
             raise DomainError("delta must lie in [0, 1)")
         _check_seed(self.seed)
 

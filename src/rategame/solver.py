@@ -23,6 +23,7 @@ from .core import (
     assert_feasible,
     check_dims,
     is_int,
+    is_real,
     write_csv,
 )
 from .waterfill import best_response_powers, best_responses, block_norm, projected_profile
@@ -47,7 +48,7 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise DomainError(f"unknown schedule kind {self.kind!r}")
-        if not (0.0 < self.update_probability <= 1.0):
+        if not (is_real(self.update_probability) and 0.0 < self.update_probability <= 1.0):
             raise DomainError("update_probability must be in (0, 1]")
         if not (is_int(self.seed) and self.seed >= 0):
             raise DomainError("seed must be an integer >= 0")
@@ -64,7 +65,7 @@ class SolverOptions:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
+        if not (is_real(self.tol) and self.tol > 0):
             raise DomainError("tol must be positive")
         if self.tol == math.inf:
             raise DomainError("tol must be finite")
@@ -102,24 +103,24 @@ def fixed_point_residual(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile)
     return _residual(ch, cfg, profile.p)[0]
 
 
-def _round_views(schedule, p, history, rng):
+def _round_views(schedule, p, ring, slot, rnd, rng):
     """(user, view) pairs of one round: who updates, and against which powers.
 
-    jacobi reads the frozen round-start profile history[-1], gauss_seidel the
-    live p. random_async draws who updates, then, per updating user q, one
-    age in 0..len(history)-1 for each other user's row in one call, in that
-    order; jacobi and gauss_seidel draw nothing.
+    ring[slot] holds this round's start profile, ring[(slot - a) % len(ring)]
+    that of a rounds before. jacobi reads ring[slot], gauss_seidel the live
+    p; neither draws. random_async draws who updates, then in one call an age
+    in 0..min(rnd, len(ring))-1 for every other user of each updating user,
+    in user order, and one gather from the ring gives all their views.
     """
     Q = p.shape[0]
     if schedule.kind != "random_async":
-        view = history[-1] if schedule.kind == "jacobi" else p
-        for q in range(Q):
-            yield q, view
-        return
-    for q in np.flatnonzero(rng.random(Q) < schedule.update_probability).tolist():
-        ages = rng.integers(0, len(history), Q - 1).tolist()
-        ages.insert(q, 0)  # a user always knows its own latest powers
-        yield q, np.array([history[-1 - age][r] for r, age in enumerate(ages)])
+        view = ring[slot] if schedule.kind == "jacobi" else p
+        return ((q, view) for q in range(Q))
+    qs = np.flatnonzero(rng.random(Q) < schedule.update_probability)
+    users = np.arange(Q)
+    ages = np.zeros((len(qs), Q), dtype=np.intp)  # a user knows its own latest powers
+    ages[users != qs[:, None]] = rng.integers(0, min(rnd, len(ring)), (len(qs), Q - 1)).ravel()
+    return zip(qs.tolist(), ring[(slot - ages) % len(ring), users])
 
 
 def solve(
@@ -156,10 +157,12 @@ def solve(
 
     p = initial.p.copy()
     rng = np.random.default_rng(schedule.seed)
-    # round-start snapshots, oldest first, never written: the last
-    # max_staleness + 1 for random_async (a list, so any int bounds it), else one
-    keep = schedule.max_staleness + 1 if schedule.kind == "random_async" else 1
-    history = []
+    # ring of round-start profiles, slot (rnd - 1) % len(ring): random_async
+    # reads the last max_staleness + 1, so its ring doubles up to that many
+    # (or max_iters) as rounds run; jacobi and gauss_seidel keep one
+    size = (min(schedule.max_staleness + 1, opts.max_iters)
+            if schedule.kind == "random_async" else 1)
+    ring = np.empty((1,) + p.shape)
     trajectory = [p.copy()] if opts.record_trajectory else None
     # anchors[j] is the (bytes, round) of the latest round divisible by 2**j
     anchors = {} if schedule.kind != "random_async" and trajectory is None else None
@@ -168,12 +171,16 @@ def solve(
     converged = False
     last = opts.max_iters  # lowered to the cycle's matching round once one is proven
     for rnd in range(1, opts.max_iters + 1):
-        history.append(p.copy())
-        del history[:-keep]
-        for q, view in _round_views(schedule, p, history, rng):
+        if len(ring) < min(rnd, size):
+            grown = np.empty((min(2 * len(ring), size),) + p.shape)
+            grown[:len(ring)] = ring
+            ring = grown
+        slot = (rnd - 1) % len(ring)
+        ring[slot] = p
+        for q, view in _round_views(schedule, p, ring, slot, rnd, rng):
             p[q] = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])[0]
 
-        delta = float(np.abs(p - history[-1]).max())
+        delta = float(np.abs(p - ring[slot]).max())
         if trajectory is not None:
             trajectory.append(p.copy())
         if delta < opts.tol:

@@ -25,6 +25,7 @@ from .core import (
     RegimeError,
     UnsupportedArityError,
     check_dims,
+    is_real,
 )
 from .metrics import occupied_bins
 
@@ -42,13 +43,13 @@ class AntiSymSystem:
     eps: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
+        if not (is_real(self.alpha) and 0.0 < self.alpha < 1.0):
             raise DomainError("alpha must lie in (0, 1)")
-        if not self.m >= 1.0:
+        if not (is_real(self.m) and self.m >= 1.0):
             raise DomainError("m must be >= 1")
-        if not self.sigma2 > 0:
+        if not (is_real(self.sigma2) and self.sigma2 > 0):
             raise DomainError("sigma2 must be positive")
-        if not self.eps >= 0:
+        if not (is_real(self.eps) and self.eps >= 0):
             raise DomainError("eps must be nonnegative")
 
     def denominator(self) -> float:

@@ -10,7 +10,6 @@ Euclidean projection of -Phi onto the admissible set
 from __future__ import annotations
 
 import functools
-import numbers
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .core import (
     check_dims,
     check_user,
     interference_level,
+    is_real,
     worst_case_interference,
 )
 
@@ -44,7 +44,7 @@ def find_water_level(phi, P: float, pmax) -> float:
         raise DomainError("phi and pmax must be finite")
     if (pmax < 0).any():
         raise DomainError("pmax must be nonnegative")
-    if not isinstance(P, numbers.Real):
+    if not is_real(P):
         raise DomainError("total power must be a real number")
     if not P > 0:
         raise DomainError("total power must be positive")

@@ -309,12 +309,20 @@ class TestPublicEntryRefusals:
          "trials must be an integer >= 1"),
         (lambda c: empirical_contraction_check(c.CH, c.CFG, 2, False),
          "seed must be an integer >= 0"),
+        (lambda c: find_water_level([1.0, 1.0], True, [2.0, 2.0]),
+         "total power must be a real number"),
+        (lambda c: AntiSymSystem(alpha="0.2", m=2, sigma2=0.1), "alpha must lie in (0, 1)"),
+        (lambda c: AntiSymSystem(alpha=0.2, m=True, sigma2=0.1), "m must be >= 1"),
+        (lambda c: AntiSymSystem(alpha=0.2, m=2, sigma2=True), "sigma2 must be positive"),
+        (lambda c: AntiSymSystem(alpha=0.2, m=2, sigma2=0.1, eps=False),
+         "eps must be nonnegative"),
     ], ids=["rate_q_negative", "rate_q_Q", "rate_q_float", "rate_q_bool", "phi_q_negative",
             "best_response_q_negative", "projection_q_negative", "contraction_trials_negative",
             "contraction_trials_float", "contraction_seed_negative", "water_level_2d",
             "water_level_array_P", "water_level_0d", "waterfill_2d", "simplex_2d",
             "antisym_eps_nan", "fdma_eps_nan", "contraction_trials_bool",
-            "contraction_seed_bool"])
+            "contraction_seed_bool", "water_level_bool_P", "antisym_alpha_str",
+            "antisym_m_bool", "antisym_sigma2_bool", "antisym_eps_bool"])
     def test_refused_with_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call(self)

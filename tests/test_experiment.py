@@ -65,9 +65,13 @@ class TestGenerateChannels:
         (dict(seed=2.7), "seed must be an integer >= 0 or a SeedSequence"),
         (dict(Q=True), "Q and N must be integers"),
         (dict(seed=False), "seed must be an integer >= 0 or a SeedSequence"),
+        (dict(noise_power=True), "noise power must be positive"),
+        (dict(cross_variance=True), "variances must be positive"),
+        (dict(direct_variance=True), "variances must be positive"),
     ], ids=["no_users", "no_bins", "cross_variance", "direct_variance", "noise_power",
             "fractional_bins", "float_users", "negative_seed", "fractional_seed",
-            "bool_users", "bool_seed"])
+            "bool_users", "bool_seed", "bool_noise_power", "bool_cross_variance",
+            "bool_direct_variance"])
     def test_spec_checks(self, fields, message):
         with pytest.raises(DomainError, match=message):
             ChannelGenSpec(**{"Q": 2, "N": 2, **fields})
@@ -79,7 +83,8 @@ class TestPerturbChannels:
         (dict(seed=-1), "seed must be an integer >= 0 or a SeedSequence"),
         (dict(seed=1.5), "seed must be an integer >= 0 or a SeedSequence"),
         (dict(seed=True), "seed must be an integer >= 0 or a SeedSequence"),
-    ], ids=["delta", "negative_seed", "fractional_seed", "bool_seed"])
+        (dict(delta=False), r"delta must lie in \[0, 1\)"),
+    ], ids=["delta", "negative_seed", "fractional_seed", "bool_seed", "bool_delta"])
     def test_spec_checks(self, fields, message):
         with pytest.raises(DomainError, match=message):
             UncertaintySpec(**{"delta": 0.1, **fields})

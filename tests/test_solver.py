@@ -254,6 +254,20 @@ class TestCycleExit:
 class TestSnapshots:
     """random_async reads up to max_staleness + 1 round-start profiles; the others one."""
 
+    # a random_async round draws who updates, then the ages of all B updating
+    # users in one (B, Q - 1) call; that must be the stream of B calls of
+    # Q - 1 ages each, in user order, for the pinned digests below to hold
+    @pytest.mark.parametrize("K", range(1, 5))
+    @pytest.mark.parametrize("Q", range(1, 9))
+    def test_one_age_draw_per_round_is_one_draw_per_user(self, Q, K):
+        batched, per_user = np.random.default_rng(Q * K), np.random.default_rng(Q * K)
+        for B in [*range(Q + 1), Q, 1]:  # consecutive rounds of every size
+            assert batched.random(Q).tobytes() == per_user.random(Q).tobytes()
+            ages = batched.integers(0, K, (B, Q - 1))
+            for row in ages:
+                assert row.tobytes() == per_user.integers(0, K, Q - 1).tobytes()
+        assert batched.random() == per_user.random()
+
     # sha256 of the trajectory and mu bytes, recorded before the stale views
     # were drawn one call per updating user; covers Q = 1 (no other rows to
     # age), max_staleness 0 (every age 0) and bounds past the rounds run
@@ -318,6 +332,29 @@ class TestSnapshots:
         assert best_response_calls[0] == 2 * 200 * 4  # both solves ran every round
         assert peaks[1] <= 1.5 * peaks[0]
 
+    def test_random_async_keeps_only_the_rounds_run(self):
+        # up to round 20 both bounds give the ages one range, so both solves
+        # draw alike and converge after round 20; a ring of max_iters
+        # profiles of 4 x 256 would be 80 MB
+        ch = generate_channels(ChannelGenSpec(Q=4, N=256, cross_variance=0.1, seed=0))
+        cfg = GameConfig(P=np.ones(4), pmax=np.ones((4, 256)), eps=np.full(4, 0.05))
+        initial = default_initial_profile(ch, cfg)
+        peaks, results = [], []
+        for max_staleness in (19, 10**6):
+            tracemalloc.start()
+            try:
+                results.append(solve(ch, cfg, initial,
+                                     Schedule(kind="random_async", seed=48,
+                                              update_probability=0.5,
+                                              max_staleness=max_staleness),
+                                     SolverOptions(tol=3e-4, max_iters=10_000)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert [(r.iterations, r.converged) for r in results] == [(20, True)] * 2
+        assert_same_result(*results)
+        assert peaks[1] <= 1.5 * peaks[0]
+
 
 class TestNonFiniteGame:
     """Interference that overflows to inf ends the solve with a DomainError."""
@@ -378,9 +415,14 @@ def unrecorded_result():
     (lambda path: Schedule(seed=True), r"seed must be an integer >= 0"),
     (lambda path: Schedule(kind="random_async", max_staleness=True),
      "max_staleness must be an integer"),
+    (lambda path: Schedule(kind="random_async", update_probability=True),
+     r"update_probability must be in \(0, 1\]"),
+    (lambda path: Schedule(kind="random_async", update_probability="0.5"),
+     r"update_probability must be in \(0, 1\]"),
+    (lambda path: SolverOptions(tol=True), "tol must be positive"),
 ], ids=["kind", "update_probability", "max_staleness", "max_staleness_float", "seed_negative",
         "max_iters_float", "no_trajectory", "tol_inf", "max_iters_bool", "seed_bool",
-        "max_staleness_bool"])
+        "max_staleness_bool", "update_probability_bool", "update_probability_str", "tol_bool"])
 def test_input_checks(tmp_path, call, message):
     path = tmp_path / "t.csv"
     with pytest.raises(DomainError, match=message):
