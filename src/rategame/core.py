@@ -21,6 +21,7 @@ import numpy as np
 
 POWER_SUM_RTOL = 1e-9  # relative tolerance on the per-user total-power equality
 FLOAT_FIELD = "{:.17g}"  # 17 significant digits round-trip every float64
+ALL_USERS = slice(None)  # the user selection that takes every user at once
 
 
 class GameError(Exception):
@@ -211,26 +212,43 @@ def assert_feasible(cfg: GameConfig, profile: PowerProfile):
         )
 
 
-def interference_level(F, sigma2, eps_q: float, p, q: int) -> np.ndarray:
-    """Worst-case noise-plus-interference seen by user q, on raw arrays.
+def interference_level(F, sigma2, eps, p, q) -> np.ndarray:
+    """Worst-case noise-plus-interference on raw arrays, for one user or all.
 
     Phi_q(k) = sigma_q^2(k) + sum_{r != q} F_rq(k) p_r(k)
              + eps_q * sqrt(sum_{r != q} p_r(k)^2)
 
     F is (Q, Q, N) with zero diagonal and p the full (Q, N) power matrix, so
-    only rows r != q enter; eps_q = 0 gives the nominal level. The solver,
-    the condition checks and the rate functions all compute Phi here.
+    only rows r != q enter; eps_q = 0 gives the nominal level. q is one
+    user's index, with eps that user's bound, for its (N,) level; or
+    ALL_USERS, with eps the (Q,) bounds, for the (Q, N) levels of every user
+    against the same p, whose row q equals user q's own call byte for byte.
+    The robust term is formed only for users with eps_q > 0. The solver, the
+    condition checks and the rate functions all compute Phi here.
     """
-    phi = np.einsum("rk,rk->k", F[:, q, :], p)
+    phi = np.einsum("r...k,rk->...k", F[:, q, :], p)
     phi += sigma2[q]
-    if eps_q > 0:
-        squares = p * p
-        sq = np.add.reduce(squares, 0)
-        sq -= squares[q]
-        np.maximum(sq, 0.0, out=sq)
-        np.sqrt(sq, out=sq)
-        sq *= eps_q
+    if phi.ndim == 1:
+        if not eps > 0:
+            return phi
+        rows = q
+    else:
+        rows = np.flatnonzero(eps > 0)
+        if rows.size == eps.size:
+            rows = q  # every user is robust: views, not gathers
+        elif not rows.size:
+            return phi
+        eps = eps[rows, None]
+    squares = p * p
+    sq = squares[rows]
+    np.subtract(np.add.reduce(squares, 0), sq, out=sq)
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    sq *= eps
+    if rows is q:
         phi += sq
+    else:
+        phi[rows] += sq
     return phi
 
 
@@ -265,7 +283,7 @@ def user_rate(
     """
     check_dims(ch, profile=profile)
     check_user(q, ch.Q)
-    if not eps_override >= 0:
+    if not (is_real(eps_override) and eps_override >= 0):
         raise DomainError("eps_override must be nonnegative")
     return float(_rate(ch.F, ch.sigma2, eps_override, profile.p, q))
 

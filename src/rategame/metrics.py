@@ -20,6 +20,7 @@ from .core import (
     PowerProfile,
     UnsupportedArityError,
     check_dims,
+    is_real,
     sum_rate_array,
 )
 from .waterfill import waterfill_powers
@@ -60,7 +61,7 @@ def partition_measure(profile: PowerProfile, P_T: float) -> PartitionProfile:
     """
     if profile.Q != 2:
         raise UnsupportedArityError("partition measure is defined for Q = 2 only")
-    if not P_T > 0:
+    if not (is_real(P_T) and P_T > 0):
         raise DomainError("P_T must be positive")
     phat = profile.p / P_T
     J = -(phat[0] * phat[1])
@@ -77,7 +78,7 @@ def fdma_condition_check(ch: ChannelSet, eps: float):
     """
     if ch.Q != 2:
         raise UnsupportedArityError("FDMA condition is defined for Q = 2 only")
-    if not eps >= 0:
+    if not (is_real(eps) and eps >= 0):
         raise DomainError("eps must be nonnegative")
     f21 = ch.F[1, 0, :]
     f12 = ch.F[0, 1, :]

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ALL_USERS,
     ChannelSet,
     DomainError,
     GameConfig,
@@ -104,18 +105,20 @@ def fixed_point_residual(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile)
 
 
 def _round_views(schedule, p, ring, slot, rnd, rng):
-    """(user, view) pairs of one round: who updates, and against which powers.
+    """(user, view) pairs of one gauss_seidel or random_async round: who updates,
+    and against which powers.
 
     ring[slot] holds this round's start profile, ring[(slot - a) % len(ring)]
-    that of a rounds before. jacobi reads ring[slot], gauss_seidel the live
-    p; neither draws. random_async draws who updates, then in one call an age
-    in 0..min(rnd, len(ring))-1 for every other user of each updating user,
-    in user order, and one gather from the ring gives all their views.
+    that of a rounds before. gauss_seidel updates user by user against the
+    live p and draws nothing. random_async draws who updates, then in one
+    call an age in 0..min(rnd, len(ring))-1 for every other user of each
+    updating user, in user order, and one gather from the ring gives all
+    their views. A jacobi round needs no pairs: solve makes one best-response
+    call for all users against ring[slot].
     """
     Q = p.shape[0]
-    if schedule.kind != "random_async":
-        view = ring[slot] if schedule.kind == "jacobi" else p
-        return ((q, view) for q in range(Q))
+    if schedule.kind == "gauss_seidel":
+        return ((q, p) for q in range(Q))
     qs = np.flatnonzero(rng.random(Q) < schedule.update_probability)
     users = np.arange(Q)
     ages = np.zeros((len(qs), Q), dtype=np.intp)  # a user knows its own latest powers
@@ -131,6 +134,10 @@ def solve(
     opts: SolverOptions = SolverOptions(),
 ) -> EquilibriumResult:
     """Iterate robust waterfilling rounds until the profile stops moving.
+
+    A jacobi round is one best-response call for all users against the
+    round-start profile; a gauss_seidel or random_async round makes one call
+    per updating user.
 
     Convergence is declared once the per-round max-norm change drops below
     opts.tol and the simultaneous fixed-point residual confirms it at
@@ -177,8 +184,11 @@ def solve(
             ring = grown
         slot = (rnd - 1) % len(ring)
         ring[slot] = p
-        for q, view in _round_views(schedule, p, ring, slot, rnd, rng):
-            p[q] = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])[0]
+        if schedule.kind == "jacobi":
+            p = best_response_powers(F, sigma2, cfg.eps, ring[slot], ALL_USERS, P, cfg.pmax)[0]
+        else:
+            for q, view in _round_views(schedule, p, ring, slot, rnd, rng):
+                p[q] = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])[0]
 
         delta = float(np.abs(p - ring[slot]).max())
         if trajectory is not None:

@@ -131,7 +131,7 @@ def alpha_crit(m: float, sigma2: float) -> float:
     sigma2/(2m) * (sqrt((m+1)^2 + 4m/sigma2) - m - 1): the positive root of
     the slope equation that does not depend on the split.
     """
-    if not m >= 1.0 or not sigma2 > 0:
+    if not (is_real(m) and m >= 1.0) or not (is_real(sigma2) and sigma2 > 0):
         raise DomainError("need m >= 1 and sigma2 > 0")
     return float(
         sigma2 / (2.0 * m) * (np.sqrt((m + 1.0) ** 2 + 4.0 * m / sigma2) - m - 1.0)

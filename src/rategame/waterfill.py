@@ -14,6 +14,7 @@ import functools
 import numpy as np
 
 from .core import (
+    ALL_USERS,
     ChannelSet,
     DomainError,
     GameConfig,
@@ -110,18 +111,26 @@ def project_to_simplex(v, P: float, pmax):
     return waterfill_powers(-np.asarray(v, dtype=float), P, pmax)[0]
 
 
-def best_response_powers(F, sigma2, eps_q: float, p, q: int, P_q: float, pmax_q):
-    """Robust best response on raw arrays; P_q and pmax_q come from a GameConfig.
+def best_response_powers(F, sigma2, eps, p, q, P, pmax):
+    """Robust best response on raw arrays; eps, P and pmax come from a GameConfig.
 
-    p is the full (Q, N) power matrix (only rows r != q are read); phi alone is checked.
+    p is the full (Q, N) power matrix and q selects as in interference_level:
+    a user index, with that user's eps, P and pmax row, gives its powers and
+    water level; ALL_USERS, with eps, P and pmax for every user, gives the
+    (Q, N) powers and (Q,) water levels of all users against the same p, one
+    sweep per row. phi alone is checked, all of it before any sweep.
     """
-    phi = interference_level(F, sigma2, eps_q, p, q)
-    if not np.logical_and.reduce(np.isfinite(phi)):
+    phi = interference_level(F, sigma2, eps, p, q)
+    if not np.logical_and.reduce(np.isfinite(phi), None):
         raise DomainError("phi and pmax must be finite")
-    mu = _sweep(phi, P_q, pmax_q)
-    powers = np.subtract(mu, phi, out=phi)
+    if phi.ndim == 1:
+        mu = _sweep(phi, P, pmax)
+        powers = np.subtract(mu, phi, out=phi)
+    else:
+        mu = np.array([_sweep(*row) for row in zip(phi, P, pmax)])
+        powers = np.subtract(mu[:, None], phi, out=phi)
     np.maximum(powers, 0.0, out=powers)
-    return np.minimum(powers, pmax_q, out=powers), mu
+    return np.minimum(powers, pmax, out=powers), mu
 
 
 def block_norm(mat) -> float:
@@ -131,13 +140,9 @@ def block_norm(mat) -> float:
 
 def best_responses(ch: ChannelSet, cfg: GameConfig, p):
     """Best-response powers and water levels of every user against frozen p."""
-    out = np.empty_like(p)
-    mus = np.empty(p.shape[0])
-    for q in range(p.shape[0]):
-        out[q], mus[q] = best_response_powers(
-            ch.F, ch.sigma2, cfg.eps[q], p, q, cfg.P[q], cfg.pmax[q]
-        )
-    return out, mus
+    return best_response_powers(
+        ch.F, ch.sigma2, cfg.eps, p, ALL_USERS, cfg.P.tolist(), cfg.pmax
+    )
 
 
 def robust_best_response(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile, q: int):

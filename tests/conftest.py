@@ -79,15 +79,17 @@ def rng():
 def best_response_calls(monkeypatch):
     """One-item list counting the best responses that solve's rounds compute.
 
-    The fixed-point residual reaches the best response through waterfill, not
-    through solver, so it is not counted.
+    A call for all users counts one best response per user: one per water
+    level it returns. The fixed-point residual reaches the best response
+    through waterfill, not through solver, so it is not counted.
     """
     calls = [0]
     original = solver.best_response_powers
 
     def counted(*args):
-        calls[0] += 1
-        return original(*args)
+        powers, mu = original(*args)
+        calls[0] += np.size(mu)
+        return powers, mu
 
     monkeypatch.setattr(solver, "best_response_powers", counted)
     return calls

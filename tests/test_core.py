@@ -9,9 +9,11 @@ from rategame import (
     GameConfig,
     PowerProfile,
     StructuralError,
+    alpha_crit,
     empirical_contraction_check,
     fdma_condition_check,
     find_water_level,
+    partition_measure,
     price_of_anarchy,
     project_to_simplex,
     projection_residual,
@@ -316,13 +318,21 @@ class TestPublicEntryRefusals:
         (lambda c: AntiSymSystem(alpha=0.2, m=2, sigma2=True), "sigma2 must be positive"),
         (lambda c: AntiSymSystem(alpha=0.2, m=2, sigma2=0.1, eps=False),
          "eps must be nonnegative"),
+        (lambda c: fdma_condition_check(c.CH, True), "eps must be nonnegative"),
+        (lambda c: partition_measure(c.PROFILE, True), "P_T must be positive"),
+        (lambda c: user_rate(c.CH, c.PROFILE, 0, eps_override=True),
+         "eps_override must be nonnegative"),
+        (lambda c: alpha_crit(True, 0.1), "need m >= 1 and sigma2 > 0"),
+        (lambda c: alpha_crit(2.0, "0.1"), "need m >= 1 and sigma2 > 0"),
     ], ids=["rate_q_negative", "rate_q_Q", "rate_q_float", "rate_q_bool", "phi_q_negative",
             "best_response_q_negative", "projection_q_negative", "contraction_trials_negative",
             "contraction_trials_float", "contraction_seed_negative", "water_level_2d",
             "water_level_array_P", "water_level_0d", "waterfill_2d", "simplex_2d",
             "antisym_eps_nan", "fdma_eps_nan", "contraction_trials_bool",
             "contraction_seed_bool", "water_level_bool_P", "antisym_alpha_str",
-            "antisym_m_bool", "antisym_sigma2_bool", "antisym_eps_bool"])
+            "antisym_m_bool", "antisym_sigma2_bool", "antisym_eps_bool", "fdma_eps_bool",
+            "partition_P_T_bool", "rate_eps_override_bool", "alpha_crit_m_bool",
+            "alpha_crit_sigma2_str"])
     def test_refused_with_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call(self)

@@ -15,7 +15,7 @@ from rategame import (
     random_feasible_profile,
     robust_best_response,
 )
-from rategame.core import worst_case_interference
+from rategame.core import ALL_USERS, interference_level, worst_case_interference
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config, interior_p
 from rategame.waterfill import best_response_powers, waterfill_powers
 
@@ -270,6 +270,96 @@ class TestRobustBestResponse:
                 norms = np.sqrt((others[1:] ** 2).sum(axis=0))
                 k = int(np.argmax(norms))
                 assert powers[0.2][k] <= powers[0.0][k] + 1e-12
+
+
+def outcome(call):
+    """The bytes of what call returns, or the class of what it raises."""
+    try:
+        return [np.asarray(x).tobytes() for x in call()]
+    except Exception as exc:  # any class: the class is the outcome
+        return type(exc)
+
+
+def per_user_outcome(F, sigma2, eps, p, P, pmax):
+    """Phi and best responses user by user, stacked, or the first user's exception class."""
+    def call():
+        rows = [(interference_level(F, sigma2, eps[q], p, q),
+                 *best_response_powers(F, sigma2, eps[q], p, q, P[q], pmax[q]))
+                for q in range(len(eps))]
+        phi, powers, mu = zip(*rows)
+        return np.stack(phi), np.stack(powers), np.array(mu)
+    return outcome(call)
+
+
+def all_user_outcome(F, sigma2, eps, p, P, pmax):
+    def call():
+        return (interference_level(F, sigma2, eps, p, ALL_USERS),
+                *best_response_powers(F, sigma2, eps, p, ALL_USERS, P, pmax))
+    return outcome(call)
+
+
+def wide_range_game(rng, Q, N, eps):
+    """Coefficients over eight decades and powers over eight, a quarter of them zero."""
+    F = rng.exponential(size=(Q, Q, N)) * 10.0 ** rng.uniform(-4, 4, (Q, Q, N))
+    F[np.arange(Q), np.arange(Q), :] = 0.0
+    sigma2 = rng.exponential(size=(Q, N)) + 1e-3
+    p = rng.exponential(size=(Q, N)) * 10.0 ** rng.uniform(-6, 2, (Q, N))
+    p[rng.random((Q, N)) < 0.25] = 0.0
+    eps = {"zero": np.zeros(Q), "uniform": np.full(Q, 0.05),
+           "mixed": rng.choice([0.0, 0.05, 2.5], Q)}[eps]
+    P = rng.uniform(0.5, 2.0, Q)
+    pmax = rng.uniform(1.0, 3.0, (Q, N)) * (P / N)[:, None]
+    return F, sigma2, eps, p, P.tolist(), pmax
+
+
+class TestAllUsers:
+    """One call for all users against the same p gives each user's own call, byte for byte."""
+
+    @pytest.mark.parametrize("Q, N", [(1, 1), (1, 1024), (2, 1), (2, 5), (3, 16), (5, 33),
+                                      (7, 79), (8, 64), (11, 257), (16, 1), (16, 1024)])
+    @pytest.mark.parametrize("eps", ["zero", "uniform", "mixed"])
+    def test_bits_equal_the_per_user_calls(self, Q, N, eps):
+        rng = np.random.default_rng([Q, N, len(eps)])
+        game = wide_range_game(rng, Q, N, eps)
+        if eps == "mixed":  # both kinds of user, side by side
+            game[2][:2] = (0.0, 2.5)[:Q]
+        expected = per_user_outcome(*game)
+        assert isinstance(expected, list)
+        assert all_user_outcome(*game) == expected
+
+    def test_bits_equal_on_random_games(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            Q, N = int(rng.integers(1, 17)), int(rng.integers(1, 80))
+            game = wide_range_game(rng, Q, N, str(rng.choice(["zero", "uniform", "mixed"])))
+            assert all_user_outcome(*game) == per_user_outcome(*game)
+
+    def overflow_game(self):
+        # user 0 (eps 0) holds powers whose squares overflow; no other user
+        # reads them, so users 0 and 1 have a finite Phi and user 2 (eps > 0)
+        # does not: its robust term sums the overflowing squares
+        Q, N = 3, 4
+        F = np.full((Q, Q, N), 0.3)
+        F[np.arange(Q), np.arange(Q), :] = 0.0
+        F[0] = 0.0
+        p = np.full((Q, N), 0.25)
+        p[0] = 1e200
+        return F, np.ones((Q, N)), np.array([0.0, 0.0, 0.05]), p, [1.0] * Q, np.ones((Q, N))
+
+    @pytest.mark.parametrize("errstate, raised", [
+        (dict(all="raise"), FloatingPointError),
+        (dict(over="ignore", invalid="raise"), DomainError),
+    ], ids=["all_raise", "overflow_ignored"])
+    def test_eps_zero_user_beside_overflowing_squares(self, errstate, raised):
+        # the robust term is never formed for an eps-0 user, so the all-user
+        # call raises what the per-user calls raise, not an inf * 0 error
+        game = self.overflow_game()
+        with np.errstate(**errstate):
+            assert per_user_outcome(*game) is raised
+            assert all_user_outcome(*game) is raised
+            for q in (0, 1):
+                assert outcome(lambda: best_response_powers(
+                    *game[:2], game[2][q], game[3], q, game[4][q], game[5][q])) != raised
 
 
 class TestProjectionResidual:
