@@ -92,6 +92,7 @@ class TrialRecord:
     trial: int
     kind: str
     delta: float
+    profile: np.ndarray  # the solve's own read-only (Q, N) equilibrium; no CSV writes it
     sum_rate_true: float
     occupancy: np.ndarray
     iterations: int
@@ -167,7 +168,8 @@ def _sweep_trial(gen, uncertainty, cfg_template, schedule, opts, trial):
         cfg = GameConfig(P=cfg_template.P, pmax=cfg_template.pmax, eps=eps)
         report = build_report(ch, cfg)
         result = solve(ch, cfg, default_initial_profile(ch, cfg), schedule, opts)
-        return dict(kind=kind, sum_rate_true=sum_rate(true_ch, result.profile),
+        return dict(kind=kind, profile=result.profile.p,
+                    sum_rate_true=sum_rate(true_ch, result.profile),
                     occupancy=occupancy_counts(result.profile, cfg.P),
                     iterations=result.iterations, converged=result.converged,
                     uniqueness_ok=report.uniqueness_holds)
@@ -207,11 +209,14 @@ def run_trials(
     """Monte-Carlo sweep: `trials` channel draws, each solved at every width.
 
     Returns one record list per UncertaintySpec, in (trial, kind) order.
-    Trials with any non-convergent solve are kept but marked excluded so
-    averages stay apples-to-apples; the sufficient uniqueness condition is
-    recorded as data, not used as a filter (the heavy-tailed fading law fails
-    it: at Q=3, N=16 the C11 sweep fails it on every draw, at every delta and
-    for every kind, while most solves still converge).
+    Every solve starts from the uniform profile (`default_initial_profile`),
+    and each record holds the equilibrium that start reaches: a game that
+    fails the uniqueness condition can have many, and the others are not
+    sought. Trials with any non-convergent solve are kept but marked
+    excluded so averages stay apples-to-apples; the sufficient uniqueness
+    condition is recorded as data, not used as a filter (the heavy-tailed
+    fading law fails it: at Q=3, N=16 the C11 sweep fails it on every draw,
+    at every delta and for every kind, while most solves still converge).
     """
     if not (is_int(trials) and trials >= 1):
         raise DomainError("trials must be an integer >= 1")

@@ -125,14 +125,18 @@ def split_sum_rate_slope(alpha: float, m: float, sigma2: float, p: float) -> flo
     return float(2.0 * (t1 - t2))
 
 
+def _check_m_sigma2(m, sigma2):
+    if not (is_real(m) and m >= 1.0) or not (is_real(sigma2) and sigma2 > 0):
+        raise DomainError("need m >= 1 and sigma2 > 0")
+
+
 def alpha_crit(m: float, sigma2: float) -> float:
     """Interference level where the sum-rate is flat in both eps and the split.
 
     sigma2/(2m) * (sqrt((m+1)^2 + 4m/sigma2) - m - 1): the positive root of
     the slope equation that does not depend on the split.
     """
-    if not (is_real(m) and m >= 1.0) or not (is_real(sigma2) and sigma2 > 0):
-        raise DomainError("need m >= 1 and sigma2 > 0")
+    _check_m_sigma2(m, sigma2)
     return float(
         sigma2 / (2.0 * m) * (np.sqrt((m + 1.0) ** 2 + 4.0 * m / sigma2) - m - 1.0)
     )
@@ -146,7 +150,8 @@ def alpha_roots(m: float, sigma2: float, p: float) -> np.ndarray:
     split-dependent root is -sigma2 (2p - 1) / ((m - 1) p^2 + 2p - 1): the
     sign is fixed by checking the root against the slope directly.
     """
-    if not (0.5 < p < 1.0):
+    _check_m_sigma2(m, sigma2)
+    if not (is_real(p) and 0.5 < p < 1.0):
         raise DomainError("split p must lie in (0.5, 1)")
     root_sq = np.sqrt(4.0 * m / sigma2 + (m + 1.0) ** 2)
     branch_neg = -sigma2 / (2.0 * m) * (m + 1.0 + root_sq)

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rategame import (
     ChannelSet,
     GameConfig,
+    PowerProfile,
     Schedule,
     SolverOptions,
     alpha_crit,
@@ -44,6 +45,7 @@ from rategame import (
 from rategame import experiment
 from rategame.cli import main
 from rategame.experiment import (
+    KINDS,
     ChannelGenSpec,
     UncertaintySpec,
     generate_channels,
@@ -437,28 +439,47 @@ def _condition_passing_iterations(deltas, schedule, opts):
     return [float(np.mean(rounds[d])) for d in deltas]
 
 
+# C11's Rayleigh sweep: Q=3, N=16, 500 trials, each solved at every delta.
+# C11 reads every trial and C13 trials 0-99. `_spawn_seed` makes trial t's
+# games independent of the trial count, so those are the games a 100-trial
+# sweep would solve.
+C11_GEN = ChannelGenSpec(Q=3, N=16, seed=2024)
+C11_DELTAS = [0.0, 0.2, 0.4, 0.6]
+C11_U_SEED = 2025
+C11_SCHEDULE = Schedule(kind="gauss_seidel")
+C11_OPTS = SolverOptions(tol=1e-8, max_iters=1000)
+
+
+@pytest.fixture(scope="module")
+def c11_sweep():
+    """C11's sweep, run once for C11 and C13: ({delta: records}, wall seconds)."""
+    start = time.time()
+    per_width = run_trials(
+        C11_GEN, [UncertaintySpec(delta=d, seed=C11_U_SEED) for d in C11_DELTAS],
+        schedule=C11_SCHEDULE, opts=C11_OPTS, trials=500,
+    )
+    return dict(zip(C11_DELTAS, per_width)), time.time() - start
+
+
 @pytest.mark.slow
-def test_c11_monte_carlo_trends():
+def test_c11_monte_carlo_trends(c11_sweep):
     """Robust vs nominal sum-rate and occupancy on Rayleigh fading; the
     iteration trend on games where the convergence condition holds.
 
-    The Rayleigh robust games fail the sufficient uniqueness/convergence
-    condition on every draw (their contraction modulus is far above 1), so no
-    rate is promised there: they split into FDMA within a few rounds, and a
-    short tail of long solves drives the mean round count. The iteration
-    criterion therefore runs on condition-passing games under the same
-    uncertainty model, schedule and solver options; the detail line prints
-    the Rayleigh round statistics beside it.
+    Every solve starts from the uniform profile (`default_initial_profile`),
+    and the trends are those of the equilibria it reaches. The Rayleigh robust
+    games fail the sufficient uniqueness/convergence condition on every draw
+    (their contraction modulus is far above 1), so they can have many
+    equilibria and no rate is promised there: they split into FDMA within a
+    few rounds, and a short tail of long solves drives the mean round count.
+    The iteration criterion therefore runs on condition-passing games under
+    the same uncertainty model, schedule and solver options; the detail line
+    prints the Rayleigh round statistics beside it. The elapsed time counts
+    the sweep's own.
     """
     start = time.time()
-    gen = ChannelGenSpec(Q=3, N=16, seed=2024)
-    deltas = [0.0, 0.2, 0.4, 0.6]
-    schedule = Schedule(kind="gauss_seidel")
-    opts = SolverOptions(tol=1e-8, max_iters=1000)
-    per_delta = dict(zip(deltas, run_trials(
-        gen, [UncertaintySpec(delta=d, seed=2025) for d in deltas], schedule=schedule,
-        opts=opts, trials=500,
-    )))
+    per_delta, sweep_s = c11_sweep
+    deltas = C11_DELTAS
     # paired comparison per delta over that delta's included trials
     t_stats = {}
     for d in deltas[1:]:
@@ -491,9 +512,9 @@ def test_c11_monte_carlo_trends():
         )))
     occupancy_ok = all(b < a for a, b in zip(occupancy, occupancy[1:]))
 
-    iterations = _condition_passing_iterations(deltas, schedule, opts)
+    iterations = _condition_passing_iterations(deltas, C11_SCHEDULE, C11_OPTS)
     iterations_ok = all(b >= a for a, b in zip(iterations, iterations[1:]))
-    elapsed = time.time() - start
+    elapsed = sweep_s + time.time() - start
     report(
         "C11 Monte-Carlo trends (robust vs nominal, occupancy, iterations)",
         sum_rate_ok and occupancy_ok and iterations_ok and elapsed < 600,
@@ -507,9 +528,11 @@ def test_c11_monte_carlo_trends():
 
 
 @pytest.mark.slow
-def test_c13_fdma_and_rate_floor(monkeypatch):
-    """The paper's FDMA and robustness claims on C11's Rayleigh sweep.
+def test_c13_fdma_and_rate_floor(c11_sweep):
+    """The paper's FDMA and robustness claims on trials 0-99 of C11's sweep.
 
+    The equilibria are those the uniform start (`default_initial_profile`)
+    reaches; these games fail the uniqueness condition and can have others.
     FDMA: the share of robust equilibria in which no bin is occupied by two
     users must be nondecreasing in delta and reach 1 at the largest delta.
     Rate floor: at every delta > 0, each robust user's rate on the true
@@ -518,42 +541,34 @@ def test_c13_fdma_and_rate_floor(monkeypatch):
     2 * N * machine eps * max(1, |worst-case rate|).
     """
     start = time.time()
-    deltas = [0.0, 0.2, 0.4, 0.6]
-    trials, N = 100, 16
-    gen = ChannelGenSpec(Q=3, N=N, seed=2024)
-    profiles = {}  # (coefficient bytes, eps bytes) -> equilibrium profile
-
-    def capture(ch, cfg, *args):
-        result = solve(ch, cfg, *args)
-        profiles[ch.F.tobytes(), cfg.eps.tobytes()] = result.profile
-        return result
-
-    monkeypatch.setattr(experiment, "solve", capture)
-    run_trials(gen, [UncertaintySpec(delta=d, seed=2025) for d in deltas],
-               schedule=Schedule(kind="gauss_seidel"),
-               opts=SolverOptions(tol=1e-8, max_iters=1000), trials=trials)
-
-    P = experiment.default_game_config(gen.Q, N).P
+    per_delta, _ = c11_sweep
+    deltas = C11_DELTAS
+    trials, Q, N = 100, C11_GEN.Q, C11_GEN.N
+    P = experiment.default_game_config(Q, N).P
 
     def is_fdma(profile):
         return bool((occupied_bins(profile, P).sum(axis=0) <= 1).all())
 
-    # each trial's channels and errors are rebuilt from their seeds, and the
-    # captured solves are looked up by the game they solved
+    # each trial's channels and errors are rebuilt from the sweep's seeds; the
+    # records' own true sum-rates prove the true channels are the right ones
     robust_fdma, nominal_fdma = [0] * len(deltas), [0] * len(deltas)
     least_slack, floor_ok = np.inf, True
     for t in range(trials):
-        true_ch = generate_channels(replace(gen, seed=np.random.SeedSequence([2024, t])))
+        true_ch = generate_channels(
+            replace(C11_GEN, seed=experiment._spawn_seed(C11_GEN.seed, t)))
         for w, d in enumerate(deltas):
-            nominal_ch, eps = perturb_channels(
-                true_ch, UncertaintySpec(delta=d, seed=np.random.SeedSequence([2025, t])))
-            robust = profiles[nominal_ch.F.tobytes(), eps.tobytes()]
-            nominal = profiles[nominal_ch.F.tobytes(), np.zeros(gen.Q).tobytes()]
+            records = per_delta[d][3 * t:3 * t + 3]
+            assert [(r.trial, r.kind) for r in records] == [(t, kind) for kind in KINDS]
+            profiles = [PowerProfile(r.profile) for r in records]
+            assert [sum_rate(true_ch, p) for p in profiles] == [r.sum_rate_true for r in records]
+            robust, nominal, _ = profiles
             robust_fdma[w] += is_fdma(robust)
             nominal_fdma[w] += is_fdma(nominal)
             if d == 0:
                 continue
-            for q in range(gen.Q):
+            nominal_ch, eps = perturb_channels(true_ch, UncertaintySpec(
+                delta=d, seed=experiment._spawn_seed(C11_U_SEED, t)))
+            for q in range(Q):
                 worst = user_rate(nominal_ch, robust, q, eps[q])
                 slack = user_rate(true_ch, robust, q) - worst
                 least_slack = min(least_slack, slack)

@@ -159,6 +159,7 @@ class TestRunTrials:
         for ra, rb in zip(serial, parallel):
             assert ra.trial == rb.trial and ra.kind == rb.kind
             assert ra.sum_rate_true == rb.sum_rate_true
+            assert ra.profile.tobytes() == rb.profile.tobytes()
 
     # per-trial seeds are SeedSequence([seed, trial]), so both must be plain
     # integers; the specs still take a SeedSequence for a single draw
@@ -251,6 +252,7 @@ class TestSweep:
         assert not np.array_equal(nom_ch.F, true_ch.F)
         for rec, (_, _, result) in zip(records, calls["solve"]):
             assert (rec.iterations, rec.converged) == (result.iterations, result.converged)
+            assert rec.profile.tobytes() == result.profile.p.tobytes()
 
     def test_zero_delta_games_are_the_perfect_game(self, monkeypatch):
         # at delta 0 the robust and nominal games are the perfect game bit for
@@ -282,8 +284,8 @@ class TestSweep:
 
 def record(kind="robust", trial=0, sum_rate=1.0, included=True):
     return TrialRecord(
-        trial=trial, kind=kind, delta=0.2, sum_rate_true=sum_rate,
-        occupancy=np.array([3, 4]), iterations=10, converged=True,
+        trial=trial, kind=kind, delta=0.2, profile=np.full((2, 3), 0.5),
+        sum_rate_true=sum_rate, occupancy=np.array([3, 4]), iterations=10, converged=True,
         uniqueness_ok=False, included=included,
     )
 

@@ -328,6 +328,9 @@ UNCOUPLED = ChannelSet(F=np.zeros((2, 2, 2)), sigma2=np.full((2, 2), 0.1))
      DomainError, "eps must be nonnegative"),
     (lambda: alpha_crit(0.5, 0.1), DomainError, "need m >= 1 and sigma2 > 0"),
     (lambda: alpha_roots(2.0, 0.1, 0.5), DomainError, r"split p must lie in \(0.5, 1\)"),
+    (lambda: alpha_roots(0.0, 0.1, 0.7), DomainError, "need m >= 1 and sigma2 > 0"),
+    (lambda: alpha_roots(2.0, -0.1, 0.7), DomainError, "need m >= 1 and sigma2 > 0"),
+    (lambda: alpha_roots(2.0, True, 0.7), DomainError, "need m >= 1 and sigma2 > 0"),
     (lambda: classify_frequency_sets(
         UNCOUPLED, GameConfig(P=[1.0, 2.0], pmax=np.full((2, 2), 2.0), eps=[0.1, 0.1]),
         PowerProfile(np.full((2, 2), 0.5))),
@@ -338,7 +341,8 @@ UNCOUPLED = ChannelSet(F=np.zeros((2, 2, 2)), sigma2=np.full((2, 2), 0.1))
         PowerProfile([[0.5, 0.5], [0.0, 0.0]])),
      DegenerateSystemError, "singular water-level coupling"),
 ], ids=["alpha_zero", "m_below_one", "sigma2_zero", "eps_negative", "crit_m_below_one",
-        "split_at_half", "unequal_budgets", "silent_user"])
+        "split_at_half", "roots_m_zero", "roots_sigma2_negative", "roots_sigma2_bool",
+        "unequal_budgets", "silent_user"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
