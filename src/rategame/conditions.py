@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (ChannelSet, DomainError, GameConfig, StructuralError, check_dims,
                    format_value, is_int)
-from .waterfill import best_responses, block_norm, random_feasible_profile, waterfill_powers
+from .waterfill import best_responses, block_norm, fill_powers, random_feasible_profile
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,7 @@ def default_bin_sets(ch: ChannelSet, cfg: GameConfig) -> np.ndarray:
     build_Smax for the most conservative condition check.
     """
     check_dims(ch, cfg)
-    return np.array([
-        waterfill_powers(ch.sigma2[q], cfg.P[q], cfg.pmax[q])[0] > 0.0
-        for q in range(ch.Q)
-    ])
+    return fill_powers(ch.sigma2, cfg.P, cfg.pmax)[0] > 0.0
 
 
 def full_bin_sets(ch: ChannelSet) -> np.ndarray:

@@ -12,8 +12,10 @@ operations are pure functions and may assume valid inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 
@@ -252,16 +254,11 @@ def interference_level(F, sigma2, eps, p, q) -> np.ndarray:
     return phi
 
 
-def _rate(F, sigma2, eps_q: float, p, q: int):
-    return np.log1p(p[q] / interference_level(F, sigma2, eps_q, p, q)).sum()
-
-
 def sum_rate_array(F, sigma2, p) -> float:
     """Nominal sum-rate in nats of the (Q, N) power matrix p, on raw arrays."""
-    total = 0.0
-    for q in range(p.shape[0]):
-        total += _rate(F, sigma2, 0.0, p, q)
-    return float(total)
+    phi = interference_level(F, sigma2, np.zeros(len(p)), p, ALL_USERS)
+    rates = np.log1p(p / phi).sum(axis=1).tolist()
+    return functools.reduce(operator.add, rates, 0.0)  # in user order, one after another
 
 
 def worst_case_interference(
@@ -285,7 +282,8 @@ def user_rate(
     check_user(q, ch.Q)
     if not (is_real(eps_override) and eps_override >= 0):
         raise DomainError("eps_override must be nonnegative")
-    return float(_rate(ch.F, ch.sigma2, eps_override, profile.p, q))
+    phi = interference_level(ch.F, ch.sigma2, eps_override, profile.p, q)
+    return float(np.log1p(profile.p[q] / phi).sum())
 
 
 def sum_rate(ch: ChannelSet, profile: PowerProfile) -> float:
@@ -296,8 +294,7 @@ def sum_rate(ch: ChannelSet, profile: PowerProfile) -> float:
 
 def price_of_anarchy(s_optimal: float, s_equilibrium: float) -> float:
     """Socially optimal sum-rate divided by the equilibrium sum-rate."""
-    if not (s_optimal > 0 and s_equilibrium > 0 and np.isfinite(s_optimal)
-            and np.isfinite(s_equilibrium)):
+    if not all(is_real(s) and 0 < s < np.inf for s in (s_optimal, s_equilibrium)):
         raise DomainError("sum-rates must be positive and finite")
     return s_optimal / s_equilibrium
 

@@ -138,9 +138,9 @@ def perturb_channels(true_ch: ChannelSet, u: UncertaintySpec):
     eps = np.zeros(Q)
     if u.delta > 0:
         factor = (u.delta / 2.0) / (1.0 - u.delta / 2.0)
-        for q in range(Q):
-            cross = np.delete(F_nom[:, q, :], q, axis=0)
-            eps[q] = factor * np.sqrt((cross * cross).sum(axis=0)).max()
+        # r != q only: a zero diagonal in the sum would reorder numpy's pairwise sum at N = 1
+        cross = F_nom.transpose(1, 0, 2)[~np.eye(Q, dtype=bool)].reshape(Q, Q - 1, N)
+        eps = factor * np.sqrt((cross * cross).sum(axis=1)).max(axis=1)
     return nominal, eps
 
 

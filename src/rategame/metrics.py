@@ -23,7 +23,7 @@ from .core import (
     is_real,
     sum_rate_array,
 )
-from .waterfill import waterfill_powers
+from .waterfill import fill_powers
 
 OCCUPANCY_FACTOR = 1e-6  # p(k) > factor * P_q counts as occupied
 BRUTEFORCE_POINT_CAP = 10_000_000
@@ -116,7 +116,7 @@ def social_optimum_bruteforce(
     total = 1
     for q in range(cfg.Q):
         h = grid_resolution if grid_resolution is not None else cfg.P[q] / 50
-        if not h > 0:
+        if not (is_real(h) and 0 < h < math.inf):
             raise DomainError("grid_resolution must be positive")
         s = max(1, round(cfg.P[q] / h))
         steps.append(s)
@@ -159,7 +159,7 @@ def _fdma_profile(ch, cfg, owner):
         if cfg.P[q] >= cap:  # also no bins, or a mask total of 0: the user stays silent
             p[q, bins] = cfg.pmax[q, bins]
         else:
-            p[q, bins] = waterfill_powers(ch.sigma2[q, bins], cfg.P[q], cfg.pmax[q, bins])[0]
+            p[q, bins] = fill_powers(ch.sigma2[q, bins], cfg.P[q], cfg.pmax[q, bins])[0]
     return p
 
 

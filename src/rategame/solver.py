@@ -27,7 +27,7 @@ from .core import (
     is_real,
     write_csv,
 )
-from .waterfill import best_response_powers, best_responses, block_norm, projected_profile
+from .waterfill import best_response_powers, best_responses, block_norm, fill_powers
 
 SCHEDULE_KINDS = ("jacobi", "gauss_seidel", "random_async")
 
@@ -89,7 +89,8 @@ class EquilibriumResult:
 def default_initial_profile(ch: ChannelSet, cfg: GameConfig) -> PowerProfile:
     """Uniform P_q/N allocation, projected per user to respect the masks."""
     check_dims(ch, cfg)
-    return projected_profile(cfg, (np.full(cfg.N, cfg.P[q] / cfg.N) for q in range(cfg.Q)))
+    levels = np.broadcast_to(-(cfg.P[:, None] / cfg.N), (cfg.Q, cfg.N))
+    return PowerProfile(fill_powers(levels, cfg.P, cfg.pmax)[0])
 
 
 def _residual(ch, cfg, p):

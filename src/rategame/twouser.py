@@ -104,6 +104,8 @@ def interior_dp_deps(sys: AntiSymSystem) -> float:
 
 def split_sum_rate(sys: AntiSymSystem, p: float) -> float:
     """Sum-rate of the symmetric-family profile with split p (nominal rates)."""
+    if not (is_real(p) and 0.0 <= p <= 1.0):
+        raise DomainError("split p must lie in [0, 1]")
     a, m, s2 = sys.alpha, sys.m, sys.sigma2
     return float(
         2.0 * np.log1p(p / (s2 + a * (1.0 - p)))

@@ -111,26 +111,34 @@ def project_to_simplex(v, P: float, pmax):
     return waterfill_powers(-np.asarray(v, dtype=float), P, pmax)[0]
 
 
+def fill_powers(phi, P, pmax):
+    """Powers and water levels of waterfilling against fixed levels phi.
+
+    phi is one user's (N,) levels with its budget and mask row, or (Q, N)
+    levels with Q budgets and the (Q, N) masks, one sweep per row. P and pmax
+    come from a GameConfig, so phi alone is checked, all of it before any sweep.
+    """
+    if not np.logical_and.reduce(np.isfinite(phi), None):
+        raise DomainError("phi and pmax must be finite")
+    if phi.ndim == 1:
+        mu = _sweep(phi, P, pmax)
+        powers = np.subtract(mu, phi)
+    else:
+        mu = np.array([_sweep(*row) for row in zip(phi, P, pmax)])
+        powers = np.subtract(mu[:, None], phi)
+    np.maximum(powers, 0.0, out=powers)
+    return np.minimum(powers, pmax, out=powers), mu
+
+
 def best_response_powers(F, sigma2, eps, p, q, P, pmax):
     """Robust best response on raw arrays; eps, P and pmax come from a GameConfig.
 
     p is the full (Q, N) power matrix and q selects as in interference_level:
     a user index, with that user's eps, P and pmax row, gives its powers and
     water level; ALL_USERS, with eps, P and pmax for every user, gives the
-    (Q, N) powers and (Q,) water levels of all users against the same p, one
-    sweep per row. phi alone is checked, all of it before any sweep.
+    (Q, N) powers and (Q,) water levels of all users against the same p.
     """
-    phi = interference_level(F, sigma2, eps, p, q)
-    if not np.logical_and.reduce(np.isfinite(phi), None):
-        raise DomainError("phi and pmax must be finite")
-    if phi.ndim == 1:
-        mu = _sweep(phi, P, pmax)
-        powers = np.subtract(mu, phi, out=phi)
-    else:
-        mu = np.array([_sweep(*row) for row in zip(phi, P, pmax)])
-        powers = np.subtract(mu[:, None], phi, out=phi)
-    np.maximum(powers, 0.0, out=powers)
-    return np.minimum(powers, pmax, out=powers), mu
+    return fill_powers(interference_level(F, sigma2, eps, p, q), P, pmax)
 
 
 def block_norm(mat) -> float:
@@ -152,21 +160,13 @@ def robust_best_response(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile,
     return best_response_powers(ch.F, ch.sigma2, cfg.eps[q], profile.p, q, cfg.P[q], cfg.pmax[q])
 
 
-def projected_profile(cfg: GameConfig, rows) -> PowerProfile:
-    """The profile whose row q is rows[q] projected onto user q's admissible set."""
-    return PowerProfile(np.stack([
-        project_to_simplex(v, cfg.P[q], cfg.pmax[q]) for q, v in enumerate(rows)
-    ]))
-
-
 def random_feasible_profile(cfg: GameConfig, rng) -> PowerProfile:
     """Random point of the product of per-user admissible sets.
 
     Gaussian draws centered on the uniform allocation, projected per user.
     """
-    return projected_profile(cfg, (
-        cfg.P[q] / cfg.N + rng.normal(0.0, cfg.P[q], size=cfg.N) for q in range(cfg.Q)
-    ))
+    v = cfg.P[:, None] / cfg.N + rng.normal(0.0, cfg.P[:, None], (cfg.Q, cfg.N))
+    return PowerProfile(fill_powers(-v, cfg.P, cfg.pmax)[0])
 
 
 def _greedy_linear_max(coeff, P: float, pmax):
@@ -194,8 +194,8 @@ def projection_residual(
     """
     phi = worst_case_interference(ch, cfg, profile, q)
     candidate = np.asarray(candidate, dtype=float)
-    if candidate.shape != (ch.N,):
-        raise DomainError("candidate must be a length-N vector")
+    if candidate.shape != (ch.N,) or not np.isfinite(candidate).all():
+        raise DomainError("candidate must be a length-N vector of finite powers")
     coeff = -phi - candidate
     z = _greedy_linear_max(coeff, cfg.P[q], cfg.pmax[q])
     return float(coeff @ (z - candidate))

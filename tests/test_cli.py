@@ -291,6 +291,14 @@ class TestInputValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: grid ")
 
+    def test_infinite_grid_resolution_is_input_error(self, tmp_path, capsys):
+        code = main([
+            "two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2.0",
+            "--eps-grid", "0:0:0.1", "--grid-resolution", "inf", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: grid_resolution must be positive"]
+
     @pytest.mark.parametrize("command", ["solve", "experiment"])
     def test_negative_seed_is_input_error(self, tmp_path, capsys, command):
         out = tmp_path / "out"
@@ -584,6 +592,24 @@ def test_pinned_output_bytes(tmp_path, capsys, case, code, digest):
     got_code, data = _pinned_output(case, tmp_path, capsys)
     assert got_code == code
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# sha256 of the trials and summary CSVs of two experiment runs, one serial and
+# one over a two-process pool; any change to a trial's numbers changes them
+@pytest.mark.parametrize("args, trials_digest, summary_digest", [
+    (["--users", "3", "--freqs", "16", "--delta-grid", "0:0.6:0.2", "--trials", "20",
+      "--seed", "2024", "--threads", "1"],
+     "4268e7c93f0b331b1b17576a9040304accd066734617ef6a590fbaaafa7dfbf9",
+     "4665d189c8a849b53e6056367928a10d67dbcfe9f1529da300bff34698d012f1"),
+    (["--users", "5", "--freqs", "4", "--delta-grid", "0:0.9:0.3", "--trials", "30",
+      "--seed", "7", "--threads", "2"],
+     "ddab07916205e935c7c5975ed2d27be08f93be46101a3f1b3dbb0edc6ee71ba4",
+     "a3308303318f7883b870948ab776cb37ba50045d70f7989b2c31f218070171e8"),
+], ids=["serial", "pool"])
+def test_pinned_experiment_bytes(tmp_path, args, trials_digest, summary_digest):
+    assert main(["experiment", *args, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest() == trials_digest
+    assert hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest() == summary_digest
 
 
 # Config fuzzing. An example starts from a config that follows the grammar of

@@ -324,6 +324,12 @@ class TestPublicEntryRefusals:
          "eps_override must be nonnegative"),
         (lambda c: alpha_crit(True, 0.1), "need m >= 1 and sigma2 > 0"),
         (lambda c: alpha_crit(2.0, "0.1"), "need m >= 1 and sigma2 > 0"),
+        (lambda c: price_of_anarchy(True, True), "sum-rates must be positive and finite"),
+        (lambda c: price_of_anarchy("2", "1"), "sum-rates must be positive and finite"),
+        (lambda c: projection_residual(c.CH, c.CFG, c.PROFILE, 0, [np.nan, 0.5]),
+         "candidate must be a length-N vector of finite powers"),
+        (lambda c: split_sum_rate(AntiSymSystem(alpha=0.2, m=2, sigma2=0.1), 1.5),
+         "split p must lie in [0, 1]"),
     ], ids=["rate_q_negative", "rate_q_Q", "rate_q_float", "rate_q_bool", "phi_q_negative",
             "best_response_q_negative", "projection_q_negative", "contraction_trials_negative",
             "contraction_trials_float", "contraction_seed_negative", "water_level_2d",
@@ -332,7 +338,8 @@ class TestPublicEntryRefusals:
             "contraction_seed_bool", "water_level_bool_P", "antisym_alpha_str",
             "antisym_m_bool", "antisym_sigma2_bool", "antisym_eps_bool", "fdma_eps_bool",
             "partition_P_T_bool", "rate_eps_override_bool", "alpha_crit_m_bool",
-            "alpha_crit_sigma2_str"])
+            "alpha_crit_sigma2_str", "anarchy_bool", "anarchy_str", "projection_candidate_nan",
+            "split_outside"])
     def test_refused_with_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call(self)

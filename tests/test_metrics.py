@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,11 @@ UNCOUPLED_3 = ChannelSet(F=np.zeros((3, 3, 2)), sigma2=np.ones((3, 2)))
         flat_two_user(2, 0.1, 0.2, 0.2),
         GameConfig(P=[1.0, 1.0], pmax=np.ones((2, 2)), eps=[0.0, 0.0]), grid_resolution=0.0),
      DomainError, "grid_resolution must be positive"),
+    # an infinite step once made a one-step grid, and True a unit step
+    *((lambda h=h: social_optimum_bruteforce(
+        flat_two_user(2, 0.1, 0.2, 0.2),
+        GameConfig(P=[1.0, 1.0], pmax=np.ones((2, 2)), eps=[0.0, 0.0]), grid_resolution=h),
+       DomainError, "grid_resolution must be positive") for h in (math.inf, True, "0.1")),
     # a unit step leaves the grid points [0, 1] and [1, 0], both over a 0.6 mask
     (lambda: social_optimum_bruteforce(
         flat_two_user(2, 0.1, 0.2, 0.2),
@@ -236,8 +243,8 @@ UNCOUPLED_3 = ChannelSet(F=np.zeros((3, 3, 2)), sigma2=np.ones((3, 2)))
     (lambda: social_optimum_fdma(
         UNCOUPLED_3, GameConfig(P=np.ones(3), pmax=np.ones((3, 2)), eps=np.zeros(3))),
      UnsupportedArityError, "FDMA search is defined for Q = 2 only"),
-], ids=["P_T_zero", "condition_arity", "eps_negative", "resolution_zero", "mask_excludes_grid",
-        "fdma_arity"])
+], ids=["P_T_zero", "condition_arity", "eps_negative", "resolution_zero", "resolution_inf",
+        "resolution_bool", "resolution_str", "mask_excludes_grid", "fdma_arity"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

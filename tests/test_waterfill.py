@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +11,22 @@ from rategame import (
     InfeasibleError,
     NumericalError,
     PowerProfile,
+    UncertaintySpec,
+    default_bin_sets,
+    default_initial_profile,
     find_water_level,
+    perturb_channels,
     project_to_simplex,
     projection_residual,
     random_feasible_profile,
     robust_best_response,
+    social_optimum_fdma,
+    sum_rate,
+    user_rate,
 )
 from rategame.core import ALL_USERS, interference_level, worst_case_interference
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config, interior_p
-from rategame.waterfill import best_response_powers, waterfill_powers
+from rategame.waterfill import best_response_powers, fill_powers, waterfill_powers
 
 from conftest import bisect_water_level, classical_best_response, random_instance
 
@@ -406,3 +415,66 @@ class TestProjectToSimplex:
             assert z.sum() == pytest.approx(P, rel=1e-12)
             again = project_to_simplex(z, P, pmax)
             assert np.allclose(again, z, atol=1e-12)
+
+
+def pinned_game(rng, Q, N):
+    """Game with coefficients over four decades and masks that hold zeros."""
+    F = rng.exponential(size=(Q, Q, N)) * 10.0 ** rng.uniform(-2, 2, (Q, Q, N))
+    F[np.arange(Q), np.arange(Q), :] = 0.0
+    sigma2 = rng.exponential(size=(Q, N)) + 1e-3
+    P = rng.uniform(0.5, 2.0, Q)
+    pmax = rng.uniform(0.0, 3.0, (Q, N)) * P[:, None]
+    pmax[rng.random((Q, N)) < 0.3] = 0.0
+    pmax[np.arange(Q), rng.integers(0, N, Q)] = 1.5 * P  # every user keeps room for P
+    eps = rng.choice([0.0, 0.05, 0.5], Q)
+    return ChannelSet(F=F, sigma2=sigma2), GameConfig(P=P, pmax=pmax, eps=eps)
+
+
+def test_fill_equals_the_checked_per_user_calls():
+    # the checked public waterfill and user_rate, one user at a time, are the
+    # reference for the all-user fill and the sum-rate, byte for byte
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        ch, cfg = pinned_game(rng, int(rng.integers(1, 13)), int(rng.integers(1, 40)))
+        levels = ch.sigma2 - rng.exponential(size=ch.sigma2.shape)
+        powers, mu = fill_powers(levels, cfg.P, cfg.pmax)
+        profile = PowerProfile(powers)
+        total = 0.0
+        for q in range(cfg.Q):
+            expected = waterfill_powers(levels[q], cfg.P[q], cfg.pmax[q])
+            assert fill_powers(levels[q], cfg.P[q], cfg.pmax[q])[1] == expected[1] == mu[q]
+            assert powers[q].tobytes() == expected[0].tobytes()
+            total += user_rate(ch, profile, q)
+        assert sum_rate(ch, profile) == total
+
+
+# sha256 of the outputs of every function that fills or scores all users
+# against fixed levels, recorded while each still looped over users: the
+# uniform start, consecutive random draws on one generator, the never-used
+# masks, the sum-rate, the derived uncertainty bounds and the FDMA oracle.
+# Q runs to 12, so some games (N = 1, Q >= 9) meet numpy's pairwise sum
+PINNED_FILL_DIGEST = "00ee50c12a637e05235f48a7b2d1a9d92b050fbd5a872fe2f7be2674a4939c26"
+
+
+def test_pinned_fill_bytes():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        Q, N = int(rng.integers(1, 13)), int(rng.integers(1, 40))
+        ch, cfg = pinned_game(rng, Q, N)
+        start = default_initial_profile(ch, cfg)
+        draws = np.random.default_rng(int(rng.integers(2**32)))
+        profiles = [start] + [random_feasible_profile(cfg, draws) for _ in range(5)]
+        h.update(np.stack([prof.p for prof in profiles]).tobytes())
+        h.update(default_bin_sets(ch, cfg).tobytes())
+        h.update(np.array([sum_rate(ch, prof) for prof in profiles]).tobytes())
+        for delta in (0.0, 0.3, 0.9):
+            nominal, eps = perturb_channels(ch, UncertaintySpec(delta, int(rng.integers(99))))
+            h.update(nominal.F.tobytes())
+            h.update(eps.tobytes())
+    for _ in range(40):
+        ch, cfg = pinned_game(rng, 2, int(rng.integers(1, 9)))
+        rate, prof = social_optimum_fdma(ch, cfg)
+        h.update(np.float64(rate).tobytes())
+        h.update(prof.p.tobytes())
+    assert h.hexdigest() == PINNED_FILL_DIGEST
