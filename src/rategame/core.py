@@ -236,9 +236,7 @@ def interference_level(F, sigma2, eps, p, q) -> np.ndarray:
         rows = q
     else:
         rows = np.flatnonzero(eps > 0)
-        if rows.size == eps.size:
-            rows = q  # every user is robust: views, not gathers
-        elif not rows.size:
+        if not rows.size:
             return phi
         eps = eps[rows, None]
     squares = p * p
@@ -280,8 +278,8 @@ def user_rate(
     """
     check_dims(ch, profile=profile)
     check_user(q, ch.Q)
-    if not (is_real(eps_override) and eps_override >= 0):
-        raise DomainError("eps_override must be nonnegative")
+    if not (is_real(eps_override) and 0 <= eps_override < np.inf):
+        raise DomainError("eps_override must be nonnegative and finite")
     phi = interference_level(ch.F, ch.sigma2, eps_override, profile.p, q)
     return float(np.log1p(profile.p[q] / phi).sum())
 

@@ -61,8 +61,8 @@ def partition_measure(profile: PowerProfile, P_T: float) -> PartitionProfile:
     """
     if profile.Q != 2:
         raise UnsupportedArityError("partition measure is defined for Q = 2 only")
-    if not (is_real(P_T) and P_T > 0):
-        raise DomainError("P_T must be positive")
+    if not (is_real(P_T) and 0 < P_T < math.inf):
+        raise DomainError("P_T must be positive and finite")
     phat = profile.p / P_T
     J = -(phat[0] * phat[1])
     occupied = occupied_bins(profile, [P_T, P_T])
@@ -78,8 +78,8 @@ def fdma_condition_check(ch: ChannelSet, eps: float):
     """
     if ch.Q != 2:
         raise UnsupportedArityError("FDMA condition is defined for Q = 2 only")
-    if not (is_real(eps) and eps >= 0):
-        raise DomainError("eps must be nonnegative")
+    if not (is_real(eps) and 0 <= eps < math.inf):
+        raise DomainError("eps must be nonnegative and finite")
     f21 = ch.F[1, 0, :]
     f12 = ch.F[0, 1, :]
     flags = (f21 - eps) * (f12 - eps) > 0.25

@@ -106,24 +106,25 @@ def fixed_point_residual(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile)
 
 
 def _round_views(schedule, p, ring, slot, rnd, rng):
-    """(user, view) pairs of one gauss_seidel or random_async round: who updates,
-    and against which powers.
+    """(users, view) pairs of one round: who updates, and against which powers.
 
     ring[slot] holds this round's start profile, ring[(slot - a) % len(ring)]
-    that of a rounds before. gauss_seidel updates user by user against the
-    live p and draws nothing. random_async draws who updates, then in one
-    call an age in 0..min(rnd, len(ring))-1 for every other user of each
-    updating user, in user order, and one gather from the ring gives all
-    their views. A jacobi round needs no pairs: solve makes one best-response
-    call for all users against ring[slot].
+    that of a rounds before. jacobi updates all users at once against
+    ring[slot]. gauss_seidel updates user by user against the live p and
+    draws nothing. random_async draws who updates, then in one call an age in
+    0..min(rnd, max_staleness + 1)-1 for every other user of each updating
+    user, in user order, and one gather from the ring gives all their views.
     """
     Q = p.shape[0]
+    if schedule.kind == "jacobi":
+        return ((ALL_USERS, ring[slot]),)
     if schedule.kind == "gauss_seidel":
         return ((q, p) for q in range(Q))
     qs = np.flatnonzero(rng.random(Q) < schedule.update_probability)
     users = np.arange(Q)
     ages = np.zeros((len(qs), Q), dtype=np.intp)  # a user knows its own latest powers
-    ages[users != qs[:, None]] = rng.integers(0, min(rnd, len(ring)), (len(qs), Q - 1)).ravel()
+    bound = min(rnd, schedule.max_staleness + 1)
+    ages[users != qs[:, None]] = rng.integers(0, bound, (len(qs), Q - 1)).ravel()
     return zip(qs.tolist(), ring[(slot - ages) % len(ring), users])
 
 
@@ -136,9 +137,9 @@ def solve(
 ) -> EquilibriumResult:
     """Iterate robust waterfilling rounds until the profile stops moving.
 
-    A jacobi round is one best-response call for all users against the
-    round-start profile; a gauss_seidel or random_async round makes one call
-    per updating user.
+    A round makes one best-response call per (users, view) pair of its
+    schedule: one call for all users in a jacobi round, one per updating user
+    in a gauss_seidel or random_async round.
 
     Convergence is declared once the per-round max-norm change drops below
     opts.tol and the simultaneous fixed-point residual confirms it at
@@ -175,7 +176,8 @@ def solve(
     # anchors[j] is the (bytes, round) of the latest round divisible by 2**j
     anchors = {} if schedule.kind != "random_async" and trajectory is None else None
 
-    F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps.tolist(), cfg.P.tolist(), list(cfg.pmax)
+    # P as Python floats: the water-level sweep's scalar steps run faster on them
+    F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps, cfg.P.tolist(), cfg.pmax
     converged = False
     last = opts.max_iters  # lowered to the cycle's matching round once one is proven
     for rnd in range(1, opts.max_iters + 1):
@@ -185,11 +187,8 @@ def solve(
             ring = grown
         slot = (rnd - 1) % len(ring)
         ring[slot] = p
-        if schedule.kind == "jacobi":
-            p = best_response_powers(F, sigma2, cfg.eps, ring[slot], ALL_USERS, P, cfg.pmax)[0]
-        else:
-            for q, view in _round_views(schedule, p, ring, slot, rnd, rng):
-                p[q] = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])[0]
+        for q, view in _round_views(schedule, p, ring, slot, rnd, rng):
+            p[q] = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])[0]
 
         delta = float(np.abs(p - ring[slot]).max())
         if trajectory is not None:

@@ -45,12 +45,12 @@ class AntiSymSystem:
     def __post_init__(self):
         if not (is_real(self.alpha) and 0.0 < self.alpha < 1.0):
             raise DomainError("alpha must lie in (0, 1)")
-        if not (is_real(self.m) and self.m >= 1.0):
-            raise DomainError("m must be >= 1")
-        if not (is_real(self.sigma2) and self.sigma2 > 0):
-            raise DomainError("sigma2 must be positive")
-        if not (is_real(self.eps) and self.eps >= 0):
-            raise DomainError("eps must be nonnegative")
+        if not (is_real(self.m) and 1.0 <= self.m < np.inf):
+            raise DomainError("m must be >= 1 and finite")
+        if not (is_real(self.sigma2) and 0 < self.sigma2 < np.inf):
+            raise DomainError("sigma2 must be positive and finite")
+        if not (is_real(self.eps) and 0 <= self.eps < np.inf):
+            raise DomainError("eps must be nonnegative and finite")
 
     def denominator(self) -> float:
         return 1.0 - (self.m + 1.0) * self.alpha / 2.0 - self.eps
@@ -128,8 +128,8 @@ def split_sum_rate_slope(alpha: float, m: float, sigma2: float, p: float) -> flo
 
 
 def _check_m_sigma2(m, sigma2):
-    if not (is_real(m) and m >= 1.0) or not (is_real(sigma2) and sigma2 > 0):
-        raise DomainError("need m >= 1 and sigma2 > 0")
+    if not (is_real(m) and 1.0 <= m < np.inf) or not (is_real(sigma2) and 0 < sigma2 < np.inf):
+        raise DomainError("need m >= 1 and sigma2 > 0, both finite")
 
 
 def alpha_crit(m: float, sigma2: float) -> float:

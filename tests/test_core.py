@@ -330,6 +330,16 @@ class TestPublicEntryRefusals:
          "candidate must be a length-N vector of finite powers"),
         (lambda c: split_sum_rate(AntiSymSystem(alpha=0.2, m=2, sigma2=0.1), 1.5),
          "split p must lie in [0, 1]"),
+        (lambda c: user_rate(c.CH, PowerProfile([[0.5, 0.5], [1.0, 0.0]]), 0,
+                             eps_override=float("inf")), "eps_override must be nonnegative"),
+        (lambda c: fdma_condition_check(c.CH, float("inf")), "eps must be nonnegative"),
+        (lambda c: AntiSymSystem(alpha=0.2, m=float("inf"), sigma2=0.1), "m must be >= 1"),
+        (lambda c: AntiSymSystem(alpha=0.2, m=2, sigma2=float("inf")), "sigma2 must be positive"),
+        (lambda c: AntiSymSystem(alpha=0.2, m=2, sigma2=0.1, eps=float("inf")),
+         "eps must be nonnegative"),
+        (lambda c: alpha_crit(float("inf"), 0.1), "need m >= 1 and sigma2 > 0"),
+        (lambda c: alpha_crit(2.0, float("inf")), "need m >= 1 and sigma2 > 0"),
+        (lambda c: partition_measure(c.PROFILE, float("inf")), "P_T must be positive"),
     ], ids=["rate_q_negative", "rate_q_Q", "rate_q_float", "rate_q_bool", "phi_q_negative",
             "best_response_q_negative", "projection_q_negative", "contraction_trials_negative",
             "contraction_trials_float", "contraction_seed_negative", "water_level_2d",
@@ -339,7 +349,9 @@ class TestPublicEntryRefusals:
             "antisym_m_bool", "antisym_sigma2_bool", "antisym_eps_bool", "fdma_eps_bool",
             "partition_P_T_bool", "rate_eps_override_bool", "alpha_crit_m_bool",
             "alpha_crit_sigma2_str", "anarchy_bool", "anarchy_str", "projection_candidate_nan",
-            "split_outside"])
+            "split_outside", "rate_eps_override_inf", "fdma_eps_inf", "antisym_m_inf",
+            "antisym_sigma2_inf", "antisym_eps_inf", "alpha_crit_m_inf",
+            "alpha_crit_sigma2_inf", "partition_P_T_inf"])
     def test_refused_with_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call(self)
