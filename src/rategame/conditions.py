@@ -89,7 +89,12 @@ def spectral_radius(M) -> float:
 
 def contraction_modulus(Smax, E) -> float:
     """Max-row-sum norm of Smax + E: max_q sum_r M_qr."""
-    M = np.abs(np.asarray(Smax, dtype=float) + np.asarray(E, dtype=float))
+    Smax, E = np.asarray(Smax, dtype=float), np.asarray(E, dtype=float)
+    if Smax.ndim != 2 or Smax.shape[0] != Smax.shape[1] or E.shape != Smax.shape:
+        raise StructuralError("Smax and E must be square matrices of one shape")
+    M = np.abs(Smax + E)
+    if not np.all(np.isfinite(M)):
+        raise DomainError("Smax and E must be finite")
     # a product with ones, not .sum(axis=1): the two differ in the last bit
     return float(np.max(M @ np.ones(M.shape[0])))
 

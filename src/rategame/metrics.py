@@ -18,6 +18,7 @@ from .core import (
     DomainError,
     GameConfig,
     PowerProfile,
+    StructuralError,
     UnsupportedArityError,
     check_dims,
     is_real,
@@ -45,6 +46,10 @@ class PartitionProfile:
 def occupied_bins(profile: PowerProfile, P) -> np.ndarray:
     """(Q, N) mask of the bins where p_q(k) > OCCUPANCY_FACTOR * P_q."""
     P = np.asarray(P, dtype=float)
+    if P.shape != (profile.Q,):
+        raise StructuralError(f"P must hold one budget per user, shape ({profile.Q},)")
+    if not (np.isfinite(P).all() and (P > 0).all()):
+        raise DomainError("budgets must be positive and finite")
     return profile.p > OCCUPANCY_FACTOR * P[:, None]
 
 
@@ -90,12 +95,10 @@ def _per_user_grid(P_q: float, pmax_q: np.ndarray, steps: int):
     """Feasible grid allocations of one user: multiples of P_q/steps under the mask."""
     N = pmax_q.shape[0]
     unit = P_q / steps
+    slots = steps + N - 1  # stars and bars: the counts are the gaps between N - 1 bars
     out = []
-    for combo in itertools.product(range(steps + 1), repeat=N - 1):
-        used = sum(combo)
-        if used > steps:
-            continue
-        counts = combo + (steps - used,)
+    for bars in itertools.combinations(range(slots), N - 1):
+        counts = [b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
         alloc = np.array(counts, dtype=float) * unit
         if np.all(alloc <= pmax_q + 1e-12):
             out.append(alloc)

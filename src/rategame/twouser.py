@@ -119,9 +119,20 @@ def antisym_sum_rate(sys: AntiSymSystem) -> float:
 
 
 def split_sum_rate_slope(alpha: float, m: float, sigma2: float, p: float) -> float:
-    """d/dp of the symmetric-family sum-rate at the given split."""
+    """d/dp of the symmetric-family sum-rate at the given split.
+
+    alpha may be any finite real, alpha_roots' negative roots included, at
+    which both noise-plus-interference terms stay positive.
+    """
+    _check_m_sigma2(m, sigma2)
+    if not (is_real(p) and 0.0 <= p <= 1.0):
+        raise DomainError("split p must lie in [0, 1]")
+    if not (is_real(alpha) and -np.inf < alpha < np.inf):
+        raise DomainError("alpha must be a finite real number")
     d1 = sigma2 + alpha * (1.0 - p)
     d2 = sigma2 + m * alpha * p
+    if not (d1 > 0 and d2 > 0):
+        raise DomainError("alpha makes a noise-plus-interference term nonpositive")
     t1 = (1.0 / d1 + alpha * p / d1**2) / (1.0 + p / d1)
     t2 = (1.0 / d2 + (1.0 - p) * m * alpha / d2**2) / (1.0 + (1.0 - p) / d2)
     return float(2.0 * (t1 - t2))
@@ -272,6 +283,8 @@ def partition_derivative(sys: OverlapSystem, ch: ChannelSet, boundary_factor: fl
     bins close to entering or leaving the overlap set are flagged (the value
     for the current region is still returned).
     """
+    if not (is_real(boundary_factor) and 0 <= boundary_factor < np.inf):
+        raise DomainError("boundary_factor must be nonnegative and finite")
     dJ = np.zeros(ch.N)
     flags = np.zeros(ch.N, dtype=bool)
     btol = boundary_factor * sys.P_T

@@ -169,6 +169,15 @@ class TestContractionModulus:
         M = np.array([[0.0, 0.3], [0.2, 0.0]])
         assert contraction_modulus(M, np.zeros((2, 2))) == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("Smax, E", [
+        (np.zeros((2, 2)), np.zeros((3, 3))),
+        (np.zeros((2, 3)), np.zeros((2, 3))),
+        (np.zeros(3), np.zeros(3)),
+    ], ids=["mismatched", "non_square", "one_d"])
+    def test_rejects_mismatched_or_non_square(self, Smax, E):
+        with pytest.raises(StructuralError, match="Smax and E must be square matrices of one shape"):
+            contraction_modulus(Smax, E)
+
 
 class TestReport:
     def test_fig1_hand_assembly(self):

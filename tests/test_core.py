@@ -10,21 +10,26 @@ from rategame import (
     PowerProfile,
     StructuralError,
     alpha_crit,
+    classify_frequency_sets,
+    contraction_modulus,
     empirical_contraction_check,
     fdma_condition_check,
     find_water_level,
+    partition_derivative,
     partition_measure,
     price_of_anarchy,
     project_to_simplex,
     projection_residual,
     robust_best_response,
     solve,
+    split_sum_rate_slope,
     sum_rate,
     user_rate,
     worst_case_interference,
 )
 from rategame.core import interference_level
-from rategame.twouser import AntiSymSystem, antisym_channels, antisym_profile, split_sum_rate
+from rategame.twouser import (AntiSymSystem, antisym_channels, antisym_config, antisym_profile,
+                              interior_p, split_sum_rate)
 from rategame.waterfill import waterfill_powers
 
 from conftest import random_instance
@@ -36,6 +41,13 @@ def two_user_channel(N, sigma1, f21, Q=2):
     sigma2 = np.ones((Q, N))
     sigma2[0, :] = sigma1
     return ChannelSet(F=F, sigma2=sigma2)
+
+
+def antisym_overlap():
+    """Overlap system and channels of an anti-symmetric interior equilibrium."""
+    sys = AntiSymSystem(alpha=0.2, m=2.0, sigma2=0.1)
+    ch = antisym_channels(sys)
+    return classify_frequency_sets(ch, antisym_config(sys), antisym_profile(interior_p(sys))), ch
 
 
 def config(Q, N, P=1.0, pmax=2.0, eps=0.0):
@@ -340,6 +352,25 @@ class TestPublicEntryRefusals:
         (lambda c: alpha_crit(float("inf"), 0.1), "need m >= 1 and sigma2 > 0"),
         (lambda c: alpha_crit(2.0, float("inf")), "need m >= 1 and sigma2 > 0"),
         (lambda c: partition_measure(c.PROFILE, float("inf")), "P_T must be positive"),
+        (lambda c: split_sum_rate_slope(0.2, 2.0, 0.1, 2.0), "split p must lie in [0, 1]"),
+        (lambda c: split_sum_rate_slope(0.2, 2.0, 0.1, float("nan")),
+         "split p must lie in [0, 1]"),
+        (lambda c: split_sum_rate_slope(True, 2.0, 0.1, 0.6), "alpha must be a finite real"),
+        (lambda c: split_sum_rate_slope("0.2", 2.0, 0.1, 0.6), "alpha must be a finite real"),
+        (lambda c: split_sum_rate_slope(float("inf"), 2.0, 0.1, 0.6),
+         "alpha must be a finite real"),
+        (lambda c: split_sum_rate_slope(-1.0, 2.0, 0.1, 0.6),
+         "alpha makes a noise-plus-interference term nonpositive"),
+        (lambda c: split_sum_rate_slope(0.2, 2.0, 0.0, 1.0), "need m >= 1 and sigma2 > 0"),
+        (lambda c: split_sum_rate_slope(0.2, 0.5, 0.1, 0.6), "need m >= 1 and sigma2 > 0"),
+        (lambda c: contraction_modulus([[0.0, np.nan], [0.1, 0.0]], np.zeros((2, 2))),
+         "Smax and E must be finite"),
+        (lambda c: partition_derivative(*antisym_overlap(), boundary_factor=float("nan")),
+         "boundary_factor must be nonnegative and finite"),
+        (lambda c: partition_derivative(*antisym_overlap(), boundary_factor=-1.0),
+         "boundary_factor must be nonnegative and finite"),
+        (lambda c: partition_derivative(*antisym_overlap(), boundary_factor=True),
+         "boundary_factor must be nonnegative and finite"),
     ], ids=["rate_q_negative", "rate_q_Q", "rate_q_float", "rate_q_bool", "phi_q_negative",
             "best_response_q_negative", "projection_q_negative", "contraction_trials_negative",
             "contraction_trials_float", "contraction_seed_negative", "water_level_2d",
@@ -351,7 +382,11 @@ class TestPublicEntryRefusals:
             "alpha_crit_sigma2_str", "anarchy_bool", "anarchy_str", "projection_candidate_nan",
             "split_outside", "rate_eps_override_inf", "fdma_eps_inf", "antisym_m_inf",
             "antisym_sigma2_inf", "antisym_eps_inf", "alpha_crit_m_inf",
-            "alpha_crit_sigma2_inf", "partition_P_T_inf"])
+            "alpha_crit_sigma2_inf", "partition_P_T_inf", "slope_split_outside",
+            "slope_split_nan", "slope_alpha_bool", "slope_alpha_str", "slope_alpha_inf",
+            "slope_alpha_nonpositive_term", "slope_sigma2_zero", "slope_m_below_one",
+            "contraction_modulus_nan", "boundary_factor_nan", "boundary_factor_negative",
+            "boundary_factor_bool"])
     def test_refused_with_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call(self)

@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -8,10 +11,12 @@ from rategame import (
     DomainError,
     GameConfig,
     PowerProfile,
+    StructuralError,
     UnsupportedArityError,
     classify_frequency_sets,
     fdma_condition_check,
     occupancy_counts,
+    occupied_bins,
     partition_measure,
     price_of_anarchy,
     random_feasible_profile,
@@ -131,6 +136,46 @@ class TestBruteForce:
         with pytest.raises(DomainError, match="grid"):
             social_optimum_bruteforce(ch, cfg, grid_resolution=0.02)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+    def test_grid_equals_product_and_filter(self, N):
+        from rategame.metrics import _per_user_grid
+
+        rng = np.random.default_rng(N)
+        for steps in (1, 2, 3, 7, 10):
+            P = float(rng.uniform(0.5, 3.0))
+            for pmax in (np.full(N, 2.0 * P), rng.uniform(0.0, 1.5 * P, N)):
+                # every (N-1)-tuple of counts in 0..steps, kept when it leaves a
+                # nonnegative count for the last bin and fits the mask
+                unit = P / steps
+                reference = [
+                    np.array(combo + (steps - sum(combo),), dtype=float) * unit
+                    for combo in itertools.product(range(steps + 1), repeat=N - 1)
+                    if sum(combo) <= steps
+                ]
+                reference = [a for a in reference if np.all(a <= pmax + 1e-12)]
+                grid = _per_user_grid(P, pmax, steps)
+                assert len(grid) == len(reference)
+                assert [a.tobytes() for a in grid] == [a.tobytes() for a in reference]
+
+    def test_grid_walks_only_its_points(self):
+        # one unit per user over 32 bins: 32 points each, where the (steps+1)^(N-1)
+        # cube holds 2^31 tuples
+        N = 32
+        rng = np.random.default_rng(32)
+        F = rng.uniform(0.0, 0.5, (2, 2, N)) * (1.0 - np.eye(2))[:, :, None]
+        ch = ChannelSet(F=F, sigma2=rng.uniform(0.1, 1.0, (2, N)))
+        cfg = GameConfig(P=[1.0, 1.0], pmax=np.ones((2, N)), eps=[0.0, 0.0])
+        start = time.perf_counter()
+        rate, prof = social_optimum_bruteforce(ch, cfg, grid_resolution=1.0)
+        assert time.perf_counter() - start < 1.0
+        k1, k2 = np.argmax(prof.p, axis=1)
+        assert prof.p.sum() == 2.0 and prof.p[0, k1] == prof.p[1, k2] == 1.0
+        best = max(
+            sum_rate(ch, PowerProfile(np.eye(N)[[a, b]]))
+            for a in range(N) for b in range(N)
+        )
+        assert rate == best
+
 
 class TestFdmaOptimum:
     def test_symmetric_high_interference(self):
@@ -193,6 +238,22 @@ class TestOccupancy:
         prof = PowerProfile([[0.5, 1e-9, 0.5], [0.2, 0.3, 0.5]])
         counts = occupancy_counts(prof, [1.0, 1.0])
         assert np.array_equal(counts, [2, 3])
+
+    PROFILE = PowerProfile([[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]])
+
+    @pytest.mark.parametrize("count", [False, True], ids=["bins", "counts"])
+    @pytest.mark.parametrize("P, error, message", [
+        ([1.0], StructuralError, "P must hold one budget per user, shape (3,)"),
+        ([1.0, 1.0], StructuralError, "P must hold one budget per user, shape (3,)"),
+        (np.ones((3, 1)), StructuralError, "P must hold one budget per user, shape (3,)"),
+        ([np.nan] * 3, DomainError, "budgets must be positive and finite"),
+        ([1.0, np.inf, 1.0], DomainError, "budgets must be positive and finite"),
+        ([1.0, 0.0, 1.0], DomainError, "budgets must be positive and finite"),
+        ([1.0, 1.0, -1.0], DomainError, "budgets must be positive and finite"),
+    ], ids=["one_budget", "two_budgets", "column", "nan", "inf", "zero", "negative"])
+    def test_refuses_bad_budgets(self, count, P, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            (occupancy_counts if count else occupied_bins)(self.PROFILE, P)
 
     def test_one_rule_for_counts_partition_and_overlap_sets(self):
         # entries exactly at the threshold are empty, the next float up is occupied
