@@ -45,6 +45,8 @@ class PartitionProfile:
 
 def occupied_bins(profile: PowerProfile, P) -> np.ndarray:
     """(Q, N) mask of the bins where p_q(k) > OCCUPANCY_FACTOR * P_q."""
+    if any(isinstance(b, (bool, np.bool_)) for b in np.asarray(P, dtype=object).flat):
+        raise DomainError("budgets must be real numbers, not booleans")
     P = np.asarray(P, dtype=float)
     if P.shape != (profile.Q,):
         raise StructuralError(f"P must hold one budget per user, shape ({profile.Q},)")

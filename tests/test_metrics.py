@@ -250,7 +250,10 @@ class TestOccupancy:
         ([1.0, np.inf, 1.0], DomainError, "budgets must be positive and finite"),
         ([1.0, 0.0, 1.0], DomainError, "budgets must be positive and finite"),
         ([1.0, 1.0, -1.0], DomainError, "budgets must be positive and finite"),
-    ], ids=["one_budget", "two_budgets", "column", "nan", "inf", "zero", "negative"])
+        (np.ones(3, dtype=bool), DomainError, "budgets must be real numbers, not booleans"),
+        ([1.0, True, 1.0], DomainError, "budgets must be real numbers, not booleans"),
+    ], ids=["one_budget", "two_budgets", "column", "nan", "inf", "zero", "negative",
+            "bool_array", "bool_in_list"])
     def test_refuses_bad_budgets(self, count, P, error, message):
         with pytest.raises(error, match=re.escape(message)):
             (occupancy_counts if count else occupied_bins)(self.PROFILE, P)

@@ -21,6 +21,7 @@ from rategame import (
     generate_channels,
     robust_best_response,
     solve,
+    sum_rate,
     write_trajectory_csv,
 )
 from rategame.conditions import block_norm
@@ -392,6 +393,81 @@ class TestFixedPointResidual:
         powers, _ = robust_best_response(ch, cfg, prof, 0)
         fixed = PowerProfile(powers[None, :])
         assert fixed_point_residual(ch, cfg, fixed) <= 1e-12
+
+
+def symmetry_games(size):
+    """(channels, config, schedule, options) of the symmetry tests.
+
+    small: 48 random games of 2-5 users on 2-23 bins, each user's eps 0 or
+    0.025-0.075, masks that bind, the three schedules in turn. wide: one
+    jacobi game on 1024 bins.
+    """
+    if size == "wide":
+        ch = generate_channels(ChannelGenSpec(Q=8, N=1024, cross_variance=0.1,
+                                              noise_power=0.01, seed=1))
+        cfg = GameConfig(P=np.ones(8), pmax=np.ones((8, 1024)), eps=np.full(8, 0.05))
+        yield ch, cfg, Schedule(kind="jacobi"), SolverOptions(tol=1e-8, max_iters=1000)
+        return
+    rng = np.random.default_rng(12)
+    for i in range(48):
+        Q, N = int(rng.integers(2, 6)), int(rng.integers(2, 24))
+        F = rng.exponential(size=(Q, Q, N)) * rng.uniform(0.05, 0.5) / (Q - 1)
+        F[np.arange(Q), np.arange(Q), :] = 0.0
+        P = rng.uniform(0.5, 2.0, Q)
+        eps = np.where(rng.random(Q) < 0.5, 0.0, rng.uniform(0.025, 0.075, Q))
+        cfg = GameConfig(P=P, pmax=rng.uniform(1.0, 3.0, (Q, N)) * (P / N)[:, None], eps=eps)
+        ch = ChannelSet(F=F, sigma2=rng.uniform(0.05, 2.0, (Q, N)))
+        yield ch, cfg, ALL_SCHEDULES[i % 3], SolverOptions(tol=1e-11, max_iters=2000)
+
+
+def solve_from_uniform(ch, cfg, schedule, opts):
+    return solve(ch, cfg, default_initial_profile(ch, cfg), schedule, opts)
+
+
+class TestSymmetries:
+    """Relabeling the bins and scaling every power by 2 commute with solve, bit for bit.
+
+    Phi and the water level are computed bin by bin, and the sweep's result
+    does not depend on the order of its events, nor on which of them a wide
+    sweep samples. Sums over bins (the residual's norms, the sum-rate) can
+    change in their last bits under a relabeling, and are compared to a
+    tolerance there.
+    """
+
+    @pytest.mark.parametrize("size", ["small", "wide"])
+    def test_bin_permutation(self, size):
+        rng = np.random.default_rng(7)
+        for ch, cfg, schedule, opts in symmetry_games(size):
+            perm = rng.permutation(ch.N)
+            permuted = ChannelSet(F=ch.F[:, :, perm], sigma2=ch.sigma2[:, perm])
+            base = solve_from_uniform(ch, cfg, schedule, opts)
+            res = solve_from_uniform(
+                permuted, GameConfig(P=cfg.P, pmax=cfg.pmax[:, perm], eps=cfg.eps), schedule, opts)
+            assert base.converged
+            assert res.profile.p.tobytes() == base.profile.p[:, perm].tobytes()
+            assert res.mu.tobytes() == base.mu.tobytes()
+            assert (res.iterations, res.converged) == (base.iterations, base.converged)
+            # a sum of N terms in another order moves by at most about N ulps
+            rtol = ch.N * np.finfo(float).eps
+            assert abs(res.residual - base.residual) <= rtol * base.residual
+            rate = sum_rate(ch, base.profile)
+            assert abs(sum_rate(permuted, res.profile) - rate) <= rtol * rate
+
+    @pytest.mark.parametrize("size", ["small", "wide"])
+    def test_power_of_two_scale(self, size):
+        # sigma2, P, pmax and tol times 2: Phi, the sweep and sqrt are
+        # homogeneous under a power of two, and every SINR is unchanged
+        for ch, cfg, schedule, opts in symmetry_games(size):
+            base = solve_from_uniform(ch, cfg, schedule, opts)
+            scaled_ch = ChannelSet(F=ch.F, sigma2=2 * ch.sigma2)
+            res = solve_from_uniform(
+                scaled_ch, GameConfig(P=2 * cfg.P, pmax=2 * cfg.pmax, eps=cfg.eps), schedule,
+                SolverOptions(tol=2 * opts.tol, max_iters=opts.max_iters))
+            assert res.profile.p.tobytes() == (2 * base.profile.p).tobytes()
+            assert res.mu.tobytes() == (2 * base.mu).tobytes()
+            assert (res.iterations, res.converged) == (base.iterations, base.converged)
+            assert res.residual == 2 * base.residual
+            assert sum_rate(scaled_ch, res.profile) == sum_rate(ch, base.profile)
 
 
 def unrecorded_result():

@@ -1,10 +1,12 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rategame import (
+    ChannelGenSpec,
     ChannelSet,
     DomainError,
     GameConfig,
@@ -15,6 +17,7 @@ from rategame import (
     default_bin_sets,
     default_initial_profile,
     find_water_level,
+    generate_channels,
     perturb_channels,
     project_to_simplex,
     projection_residual,
@@ -478,3 +481,75 @@ def test_pinned_fill_bytes():
         h.update(np.float64(rate).tobytes())
         h.update(prof.p.tobytes())
     assert h.hexdigest() == PINNED_FILL_DIGEST
+
+
+def wide_fill_cases(rng):
+    """(levels, P, pmax) stacks of N = 1024..2500 bins, wide enough for the block sweep.
+
+    Two jacobi game families' first rounds, then rows whose sweeps meet ties,
+    zero masks, constant and negative levels and crossings near the top of
+    the events, and last the flat stretch of [0.4, 5.0, 9.0] padded out with
+    unused bins.
+    """
+    for cross, noise in ((0.001, 1e-4), (0.1, 0.01)):  # about 48% and 21% of events below mu
+        ch = generate_channels(ChannelGenSpec(Q=8, N=1024, cross_variance=cross,
+                                              noise_power=noise, seed=1))
+        cfg = GameConfig(P=np.ones(8), pmax=np.ones((8, 1024)), eps=np.full(8, 0.05))
+        p = default_initial_profile(ch, cfg).p
+        for _ in range(6):
+            levels = interference_level(ch.F, ch.sigma2, cfg.eps, p, ALL_USERS)
+            yield levels, cfg.P.tolist(), cfg.pmax
+            p = fill_powers(levels, cfg.P.tolist(), cfg.pmax)[0]
+    for kind in ["spread", "tied", "grid", "constant", "negative"] * 6:
+        Q, N = int(rng.integers(1, 5)), int(rng.integers(1024, 2500))
+        pmax = rng.uniform(0.0, 3.0, (Q, N))
+        pmax[rng.random((Q, N)) < 0.3] = 0.0
+        share = 10.0 ** rng.uniform(-3.0, np.log10(0.95), Q)
+        share[rng.random(Q) < 0.3] = 0.999  # the crossing lies above any low block
+        if kind == "tied":  # levels and bin ends on a coarse grid
+            pmax = np.round(pmax, 1)
+        elif kind == "grid":
+            pmax = rng.integers(0, 3, (Q, N)) * 0.5
+        P = share * pmax.sum(axis=1)
+        if kind == "spread":
+            levels = rng.exponential(size=(Q, N)) * 10.0 ** rng.uniform(-2, 2, (Q, N))
+        elif kind == "tied":
+            levels = np.round(rng.uniform(0.0, 3.0, (Q, N)), 1)
+        elif kind == "grid":  # exact sums: the fill meets P on a breakpoint
+            levels = rng.integers(0, 50, (Q, N)) * 0.25
+            P = np.floor(P) + 0.5
+        elif kind == "constant":  # as the uniform start
+            levels = np.broadcast_to(-(P[:, None] / N), (Q, N))
+        else:  # as a projection of a random point
+            levels = -(P[:, None] / N + rng.normal(0.0, P[:, None], (Q, N)))
+        yield levels, P, pmax
+    flat = np.concatenate(([0.4, 5.0, 9.0], rng.uniform(0.0, 0.4, 500), rng.uniform(10, 20, 1500)))
+    masks = np.concatenate(([1.0, 1.0, 1.0], np.zeros(500), np.ones(1500)))
+    order = rng.permutation(flat.size)
+    yield flat[order], 1.0, masks[order]
+
+
+# sha256 of fill_powers' powers and water levels on wide_fill_cases(seed 26),
+# recorded while every row ran one full sort of its events
+PINNED_WIDE_FILL_DIGEST = "f31607607850c8eb99a8bbe6ce4060ea044ffe3ee0494d771407b194ba0116cf"
+
+
+def test_pinned_wide_fill_bytes():
+    h = hashlib.sha256()
+    for levels, P, pmax in wide_fill_cases(np.random.default_rng(26)):
+        powers, mu = fill_powers(levels, P, pmax)
+        h.update(powers.tobytes())
+        h.update(np.asarray(mu).tobytes())
+    # the padded flat stretch gives the three-bin sweep's level
+    assert mu == find_water_level([0.4, 5.0, 9.0], 1.0, [1.0, 1.0, 1.0])
+    assert h.hexdigest() == PINNED_WIDE_FILL_DIGEST
+    # a level that dwarfs the masks: the fill never leaves 0, or its step is lost
+    with np.errstate(all="ignore"):
+        for mask, message in ((1.0, "phi dwarfs the masks: the fill cannot reach P in floating point"),
+                              (8e299, "phi + pmax overflows or dwarfs P: the water level misses P")):
+            levels = np.full((2, 1024), 1e300)
+            levels[0, :512] = np.linspace(0.0, 1.0, 512)  # a row that fills
+            with pytest.raises(NumericalError, match=re.escape(message)):
+                fill_powers(levels[1], 1.0, np.full(1024, mask))
+            with pytest.raises(NumericalError, match=re.escape(message)):
+                fill_powers(levels, [1.0, 1.0], np.full((2, 1024), mask))
