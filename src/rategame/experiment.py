@@ -20,7 +20,9 @@ from functools import partial
 
 import numpy as np
 
-from .core import ChannelSet, DomainError, GameConfig, is_int, is_real, sum_rate, write_csv
+from .core import (
+    ChannelSet, DomainError, GameConfig, StructuralError, is_int, is_real, sum_rate, write_csv,
+)
 from .conditions import build_report
 from .metrics import occupancy_counts
 from .solver import Schedule, SolverOptions, default_initial_profile, solve
@@ -256,8 +258,15 @@ def write_trial_csv(records, path, Q: int, N: int):
     """One row per TrialRecord.
 
     delta is cast to float because the column's text form is set by the first
-    row, and an int delta there would spell the later float ones short.
+    row, and an int delta there would spell the later float ones short. A
+    record whose profile is not (Q, N) is refused before anything is written.
     """
+    records = list(records)
+    for r in records:
+        if r.profile.shape != (Q, N):
+            raise StructuralError(
+                f"trial {r.trial} {r.kind} profile is {r.profile.shape}, not ({Q}, {N})"
+            )
     header = ["trial", "kind", "delta", "Q", "N", "sum_rate_true",
               *(f"occupancy_u{q + 1}" for q in range(Q)), "occupancy_mean",
               "iterations", "converged", "uniqueness_ok"]

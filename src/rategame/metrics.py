@@ -123,7 +123,11 @@ def social_optimum_bruteforce(
         h = grid_resolution if grid_resolution is not None else cfg.P[q] / 50
         if not (is_real(h) and 0 < h < math.inf):
             raise DomainError("grid_resolution must be positive")
-        s = max(1, round(cfg.P[q] / h))
+        with np.errstate(over="ignore"):  # a subnormal step overflows P / h to inf
+            ratio = cfg.P[q] / h
+        if ratio == math.inf:
+            raise DomainError("grid_resolution is too fine: the step count overflows")
+        s = max(1, round(ratio))
         steps.append(s)
         total *= math.comb(s + cfg.N - 1, cfg.N - 1)
     if total > BRUTEFORCE_POINT_CAP:

@@ -57,6 +57,9 @@ class Schedule:
             raise DomainError("max_staleness must be an integer")
         if self.max_staleness < 0:
             raise DomainError("max_staleness must be >= 0")
+        # Python ints: a numpy int64 bound wraps in the solver's arithmetic
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "max_staleness", int(self.max_staleness))
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,7 @@ class SolverOptions:
             raise DomainError("max_iters must be an integer")
         if self.max_iters < 1:
             raise DomainError("max_iters must be >= 1")
+        object.__setattr__(self, "max_iters", int(self.max_iters))  # a Python int, as in Schedule
 
 
 @dataclass(frozen=True)

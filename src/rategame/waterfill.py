@@ -42,21 +42,7 @@ def find_water_level(phi, P: float, pmax) -> float:
     find_water_level([0.4, 5.0, 9.0], 1.0, [1, 1, 1]) gives 5.0, not 1.4,
     with the same powers (an open FOUND line in ROADMAP.md).
     """
-    phi = np.asarray(phi, dtype=float)
-    pmax = np.asarray(pmax, dtype=float)
-    if phi.ndim != 1 or phi.shape != pmax.shape:
-        raise DomainError("phi and pmax must be vectors of the same shape")
-    if not (np.isfinite(phi).all() and np.isfinite(pmax).all()):
-        raise DomainError("phi and pmax must be finite")
-    if (pmax < 0).any():
-        raise DomainError("pmax must be nonnegative")
-    if not is_real(P):
-        raise DomainError("total power must be a real number")
-    if not P > 0:
-        raise DomainError("total power must be positive")
-    if pmax.sum() <= P:
-        raise InfeasibleError("masks cannot absorb the power budget")
-    return _sweep(phi, P, pmax)
+    return waterfill_powers(phi, P, pmax)[1]
 
 
 # A sweep of at least BLOCK_FLOOR events (N >= 1024 bins) first tries a low
@@ -72,7 +58,7 @@ BLOCK_QUANTILES = (0.25, 0.5)
 
 
 def _sweep(phi, P, pmax) -> float:
-    """The breakpoint sweep of find_water_level, on float arrays already checked.
+    """The water level of one row by breakpoint sweep, on float arrays already checked.
 
     A wide sweep first probes the fill at a sampled level v, and where it
     passes P sorts and fills only the block of events <= v. That block sorts
@@ -153,11 +139,22 @@ def _signs(n):
 
 
 def waterfill_powers(phi, P: float, pmax):
-    """Allocation and water level for a single user against levels phi."""
+    """Allocation and water level of one user against levels phi: checks, then fill_powers."""
     phi = np.asarray(phi, dtype=float)
     pmax = np.asarray(pmax, dtype=float)
-    mu = find_water_level(phi, P, pmax)
-    return np.minimum(np.maximum(mu - phi, 0.0), pmax), mu
+    if phi.ndim != 1 or phi.shape != pmax.shape:
+        raise DomainError("phi and pmax must be vectors of the same shape")
+    if not (np.isfinite(phi).all() and np.isfinite(pmax).all()):
+        raise DomainError("phi and pmax must be finite")
+    if (pmax < 0).any():
+        raise DomainError("pmax must be nonnegative")
+    if not is_real(P):
+        raise DomainError("total power must be a real number")
+    if not P > 0:
+        raise DomainError("total power must be positive")
+    if pmax.sum() <= P:
+        raise InfeasibleError("masks cannot absorb the power budget")
+    return fill_powers(phi, P, pmax)
 
 
 def project_to_simplex(v, P: float, pmax):

@@ -7,6 +7,7 @@ import pytest
 from rategame import (
     ChannelGenSpec,
     DomainError,
+    StructuralError,
     UncertaintySpec,
     aggregate,
     generate_channels,
@@ -352,6 +353,17 @@ class TestCsvOutputs:
             "delta,Q,N,kind,n_included,n_excluded,sum_rate_mean,sum_rate_stderr,"
             "occupancy_mean,occupancy_stderr,iterations_mean,iterations_stderr"
         )
+
+    def test_refuses_records_of_another_shape(self, tmp_path):
+        # Q = 3 records under Q = 2 once gave a two-column header over
+        # three-column rows; nothing may be written
+        [records] = run_trials(ChannelGenSpec(Q=3, N=4, seed=23),
+                               [UncertaintySpec(delta=0.0, seed=1)], trials=1)
+        for Q, N in ((2, 4), (3, 5)):
+            out = tmp_path / f"t_{Q}_{N}.csv"
+            with pytest.raises(StructuralError, match=rf"profile is \(3, 4\), not \({Q}, {N}\)"):
+                write_trial_csv(records, out, Q, N)
+            assert not out.exists()
 
     def test_pinned_c11_bytes(self, tmp_path):
         # trials 0-6 of the C11 sweep; trial 6 holds the two nominal solves

@@ -299,6 +299,11 @@ UNCOUPLED_3 = ChannelSet(F=np.zeros((3, 3, 2)), sigma2=np.ones((3, 2)))
         flat_two_user(2, 0.1, 0.2, 0.2),
         GameConfig(P=[1.0, 1.0], pmax=np.ones((2, 2)), eps=[0.0, 0.0]), grid_resolution=h),
        DomainError, "grid_resolution must be positive") for h in (math.inf, True, "0.1")),
+    # a subnormal step once overflowed P / h to inf, then round() raised OverflowError
+    *((lambda h=h: social_optimum_bruteforce(
+        flat_two_user(2, 0.1, 0.2, 0.2),
+        GameConfig(P=[1.0, 1.0], pmax=np.ones((2, 2)), eps=[0.0, 0.0]), grid_resolution=h),
+       DomainError, "grid_resolution is too fine") for h in (1e-320, 5e-324)),
     # a unit step leaves the grid points [0, 1] and [1, 0], both over a 0.6 mask
     (lambda: social_optimum_bruteforce(
         flat_two_user(2, 0.1, 0.2, 0.2),
@@ -308,7 +313,8 @@ UNCOUPLED_3 = ChannelSet(F=np.zeros((3, 3, 2)), sigma2=np.ones((3, 2)))
         UNCOUPLED_3, GameConfig(P=np.ones(3), pmax=np.ones((3, 2)), eps=np.zeros(3))),
      UnsupportedArityError, "FDMA search is defined for Q = 2 only"),
 ], ids=["P_T_zero", "condition_arity", "eps_negative", "resolution_zero", "resolution_inf",
-        "resolution_bool", "resolution_str", "mask_excludes_grid", "fdma_arity"])
+        "resolution_bool", "resolution_str", "resolution_subnormal", "resolution_min_subnormal",
+        "mask_excludes_grid", "fdma_arity"])
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -119,6 +119,18 @@ class TestSolve:
             assert np.all(p <= cfg.pmax + 1e-12)
             assert np.allclose(p.sum(axis=1), cfg.P, rtol=1e-9)
 
+    @pytest.mark.parametrize("seed, converges", [(2, True), (1, False)])
+    def test_numpy_int_max_iters(self, seed, converges):
+        # a numpy int64 bound once wrapped in range(1, max_iters + 1) and ran
+        # no round; seed 1's game cycles, and the cycle exit ends its solve
+        ch = generate_channels(ChannelGenSpec(Q=3, N=4, seed=seed))
+        cfg = GameConfig(P=np.ones(3), pmax=np.ones((3, 4)), eps=np.zeros(3))
+        initial = default_initial_profile(ch, cfg)
+        runs = [solve(ch, cfg, initial, Schedule(kind="jacobi"), SolverOptions(max_iters=bound))
+                for bound in (2**63 - 1, np.int64(2**63 - 1))]
+        assert runs[0].converged == converges
+        assert_same_result(runs[1], runs[0])
+
     def test_max_iters_reached_reports_not_converged(self):
         _, ch, cfg = fig1_instance()
         res = solve(ch, cfg, default_initial_profile(ch, cfg),
@@ -269,9 +281,12 @@ class TestSnapshots:
                 assert row.tobytes() == per_user.integers(0, K, Q - 1).tobytes()
         assert batched.random() == per_user.random()
 
+    INT64_MAX = np.int64(2**63 - 1)
+
     # sha256 of the trajectory and mu bytes, recorded before the stale views
     # were drawn one call per updating user; covers Q = 1 (no other rows to
-    # age), max_staleness 0 (every age 0) and bounds past the rounds run
+    # age), max_staleness 0 (every age 0) and bounds past the rounds run, the
+    # largest numpy int64 among them (stored as a Python int, so + 1 cannot wrap)
     @pytest.mark.parametrize("Q, max_staleness, u, digest", [
     (1, 0, 0.3, "dd2daacfee69937d229ccdf0ed9254dd715f3954440a73fd32053798da8754c7"),
     (1, 0, 1.0, "73781769a3beb429cdbfc4b8d2a3cd1a803a62122b5e66b05610a1adccd8bbd0"),
@@ -280,7 +295,9 @@ class TestSnapshots:
     (1, 3, 0.3, "dd2daacfee69937d229ccdf0ed9254dd715f3954440a73fd32053798da8754c7"),
     (1, 3, 1.0, "73781769a3beb429cdbfc4b8d2a3cd1a803a62122b5e66b05610a1adccd8bbd0"),
     (1, 10**30, 0.3, "dd2daacfee69937d229ccdf0ed9254dd715f3954440a73fd32053798da8754c7"),
+    (1, INT64_MAX, 0.3, "dd2daacfee69937d229ccdf0ed9254dd715f3954440a73fd32053798da8754c7"),
     (1, 10**30, 1.0, "73781769a3beb429cdbfc4b8d2a3cd1a803a62122b5e66b05610a1adccd8bbd0"),
+    (1, INT64_MAX, 1.0, "73781769a3beb429cdbfc4b8d2a3cd1a803a62122b5e66b05610a1adccd8bbd0"),
     (2, 0, 0.3, "32816fdb44abad3e25156e03739ea6565af732c4e8587a1b2ce363d4b9dbc529"),
     (2, 0, 1.0, "9bbd1e0121e478da2ee28822e305a00f0d82d3d0fc74d512e78fc01c7eb1c77a"),
     (2, 1, 0.3, "77250a3cc3d4310ea38bc9383d28f085fa3054b45ea9efbabc32cb71fc436ec8"),
@@ -288,7 +305,9 @@ class TestSnapshots:
     (2, 3, 0.3, "40a8e328eba28a265d8786bf41f118c932a55ae38398b5ad81da98c2b9d935d6"),
     (2, 3, 1.0, "8c5ee77c8fc6510bb4b575b60a4ba46fc4988d7a9a9ca12948ddff71c2a77048"),
     (2, 10**30, 0.3, "f4c49aedeb10acaae338697a0f52530754d33cef4a1a1594d43dadb68c3e5d0c"),
+    (2, INT64_MAX, 0.3, "f4c49aedeb10acaae338697a0f52530754d33cef4a1a1594d43dadb68c3e5d0c"),
     (2, 10**30, 1.0, "d5571d0c0c31269f292dff2626ef71f4888c14f6f20d15ae5bb25749ad8e5301"),
+    (2, INT64_MAX, 1.0, "d5571d0c0c31269f292dff2626ef71f4888c14f6f20d15ae5bb25749ad8e5301"),
     (5, 0, 0.3, "9b60078881e0c9e39115a4ddfedddf8fcc3fbe32ca734fb02fc0a5169aee8673"),
     (5, 0, 1.0, "f2f77084564318fb34afd55d58b0f8420f66b4ade6365e749acff37f491bbe71"),
     (5, 1, 0.3, "4103c01cee386d92d62cbbc813c23f51a3d4b0375ea6a207dbb4ae9993c56648"),
@@ -296,7 +315,9 @@ class TestSnapshots:
     (5, 3, 0.3, "3d050ef8ee69be0378dd8e030c4010853667c7daf29239a5024d20413f06bdc3"),
     (5, 3, 1.0, "2ebe5852403db96282e88363e26796d5eb1df034ce80f2400844bde356f217d0"),
     (5, 10**30, 0.3, "511a33d63c1983fb2cbc14ddc2f16f1b216f939446d6e2debd8b5060c04882eb"),
+    (5, INT64_MAX, 0.3, "511a33d63c1983fb2cbc14ddc2f16f1b216f939446d6e2debd8b5060c04882eb"),
     (5, 10**30, 1.0, "9525ce786b9831fc237e24a2baf7527c4a0755a3fa801226628ac48f0fd127ad"),
+    (5, INT64_MAX, 1.0, "9525ce786b9831fc237e24a2baf7527c4a0755a3fa801226628ac48f0fd127ad"),
     (8, 0, 0.3, "4049d389e2a2dea1e71a665c6ffd55f6f67fd6c887d5bf5a39e14adf4fc43ea7"),
     (8, 0, 1.0, "8cc2c29028fe96956b843ce175f78e35fddc734ccd95ae2eb5fd225e5031fdd7"),
     (8, 1, 0.3, "57a18523280a68d9dd0e7c3a8392b22f9c3161b45652163aeccc6eac8c6d410b"),
@@ -304,7 +325,9 @@ class TestSnapshots:
     (8, 3, 0.3, "855c34afaa5d2aed50536410fad5a4b8b6507852816c0edcc637be9ecb592b88"),
     (8, 3, 1.0, "88ea5f84f9d595c97f097c700e2ae0a53df5458cb431609c9b3a5198dfb8773a"),
     (8, 10**30, 0.3, "4edd0f2b332247abfc69a9f4e895503b37258509bab5aa8620a52b8941dda08a"),
+    (8, INT64_MAX, 0.3, "4edd0f2b332247abfc69a9f4e895503b37258509bab5aa8620a52b8941dda08a"),
     (8, 10**30, 1.0, "2d997d428a565ab042e74235864f3eb8fd852e649e7f4ef09b8c48f2147c102d"),
+    (8, INT64_MAX, 1.0, "2d997d428a565ab042e74235864f3eb8fd852e649e7f4ef09b8c48f2147c102d"),
     ])
     def test_random_async_pinned_bytes(self, Q, max_staleness, u, digest):
         ch = generate_channels(ChannelGenSpec(Q=Q, N=6, seed=Q))
@@ -424,6 +447,43 @@ def solve_from_uniform(ch, cfg, schedule, opts):
     return solve(ch, cfg, default_initial_profile(ch, cfg), schedule, opts)
 
 
+def report_games():
+    """(channels, config) of the build_report symmetry tests.
+
+    300 random games of 2-6 users on 2-23 bins, half the users robust; one
+    game in three gives every user the same eps, so that its report carries
+    the uniform-eps margin.
+    """
+    rng = np.random.default_rng(31)
+    for i in range(300):
+        Q, N = int(rng.integers(2, 7)), int(rng.integers(2, 24))
+        F = rng.exponential(size=(Q, Q, N)) * rng.uniform(0.05, 0.8) / (Q - 1)
+        F[np.arange(Q), np.arange(Q), :] = 0.0
+        P = rng.uniform(0.5, 2.0, Q)
+        if i % 3 == 0:
+            eps = np.full(Q, rng.uniform(0.025, 0.075))
+        else:
+            eps = np.where(rng.random(Q) < 0.5, 0.0, rng.uniform(0.025, 0.075, Q))
+        cfg = GameConfig(P=P, pmax=rng.uniform(1.0, 3.0, (Q, N)) * (P / N)[:, None], eps=eps)
+        yield ChannelSet(F=F, sigma2=rng.uniform(0.05, 2.0, (Q, N))), cfg
+
+
+def relabeled_users(ch, cfg, perm):
+    """The game with user perm[i] renamed i."""
+    return (ChannelSet(F=ch.F[perm][:, perm], sigma2=ch.sigma2[perm]),
+            GameConfig(P=cfg.P[perm], pmax=cfg.pmax[perm], eps=cfg.eps[perm]))
+
+
+# a result that a relabeling of the users moves in its last bits must stay
+# within this tolerance, relative to its own size
+RELABEL_RTOL = 64 * np.finfo(float).eps
+
+
+def report_numbers(report):
+    return (report.rho_E, report.rho_Smax, report.uniqueness_holds,
+            report.uniform_eps_margin, report.contraction_modulus)
+
+
 class TestSymmetries:
     """Relabeling the bins and scaling every power by 2 commute with solve, bit for bit.
 
@@ -431,7 +491,9 @@ class TestSymmetries:
     does not depend on the order of its events, nor on which of them a wide
     sweep samples. Sums over bins (the residual's norms, the sum-rate) can
     change in their last bits under a relabeling, and are compared to a
-    tolerance there.
+    tolerance there. build_report is bin-blind bit for bit. Relabeling the
+    users relabels E and Smax exactly; the sums over users (Phi, the
+    modulus's row sums) and the radii move by at most RELABEL_RTOL.
     """
 
     @pytest.mark.parametrize("size", ["small", "wide"])
@@ -468,6 +530,52 @@ class TestSymmetries:
             assert (res.iterations, res.converged) == (base.iterations, base.converged)
             assert res.residual == 2 * base.residual
             assert sum_rate(scaled_ch, res.profile) == sum_rate(ch, base.profile)
+
+    def test_user_relabel(self):
+        # jacobi only: gauss_seidel's user order is its definition, and
+        # random_async draws its updates and ages in user order
+        rng = np.random.default_rng(3)
+        jacobi = Schedule(kind="jacobi")
+        for ch, cfg, _, opts in symmetry_games("small"):
+            perm = rng.permutation(ch.Q)
+            base = solve_from_uniform(ch, cfg, jacobi, opts)
+            res = solve_from_uniform(*relabeled_users(ch, cfg, perm), jacobi, opts)
+            assert base.converged
+            assert (res.iterations, res.converged) == (base.iterations, base.converged)
+            err = np.abs(res.profile.p - base.profile.p[perm])
+            assert (err <= RELABEL_RTOL * cfg.P[perm, None]).all()
+            assert (np.abs(res.mu - base.mu[perm]) <= RELABEL_RTOL * np.abs(base.mu[perm])).all()
+
+    def test_report_bin_permutation(self):
+        rng = np.random.default_rng(8)
+        for ch, cfg in report_games():
+            perm = rng.permutation(ch.N)
+            base = build_report(ch, cfg)
+            res = build_report(ChannelSet(F=ch.F[:, :, perm], sigma2=ch.sigma2[:, perm]),
+                               GameConfig(P=cfg.P, pmax=cfg.pmax[:, perm], eps=cfg.eps))
+            assert res.E.tobytes() == base.E.tobytes()
+            assert res.Smax.tobytes() == base.Smax.tobytes()
+            assert report_numbers(res) == report_numbers(base)
+
+    def test_report_user_relabel(self):
+        rng = np.random.default_rng(8)
+        for ch, cfg in report_games():
+            perm = rng.permutation(ch.Q)
+            base = build_report(ch, cfg)
+            res = build_report(*relabeled_users(ch, cfg, perm))
+            assert res.E.tobytes() == base.E[perm][:, perm].tobytes()
+            assert res.Smax.tobytes() == base.Smax[perm][:, perm].tobytes()
+            for name in ("rho_E", "rho_Smax", "contraction_modulus"):
+                value = getattr(base, name)
+                assert abs(getattr(res, name) - value) <= RELABEL_RTOL * value
+            scale = 1.0 + base.rho_E + base.rho_Smax
+            if base.uniform_eps_margin is None:
+                assert res.uniform_eps_margin is None
+            else:
+                assert abs(res.uniform_eps_margin - base.uniform_eps_margin) <= RELABEL_RTOL * scale
+            # a verdict closer to its edge than the radii's tolerance may go either way
+            if abs(1.0 - base.rho_E - base.rho_Smax) > RELABEL_RTOL * scale:
+                assert res.uniqueness_holds == base.uniqueness_holds
 
 
 def unrecorded_result():

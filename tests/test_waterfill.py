@@ -434,8 +434,9 @@ def pinned_game(rng, Q, N):
 
 
 def test_fill_equals_the_checked_per_user_calls():
-    # the checked public waterfill and user_rate, one user at a time, are the
-    # reference for the all-user fill and the sum-rate, byte for byte
+    # the checked public waterfill (the 1-D fill_powers path behind its
+    # checks) and user_rate, one user at a time, must give the (Q, N) stack's
+    # rows and its sum-rate, byte for byte
     rng = np.random.default_rng(11)
     for _ in range(100):
         ch, cfg = pinned_game(rng, int(rng.integers(1, 13)), int(rng.integers(1, 40)))
