@@ -13,7 +13,6 @@ operations are pure functions and may assume valid inputs.
 from __future__ import annotations
 
 import functools
-import itertools
 import numbers
 import operator
 import os
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 POWER_SUM_RTOL = 1e-9  # relative tolerance on the per-user total-power equality
-FLOAT_FIELD = "{:.17g}"  # 17 significant digits round-trip every float64
+FLOAT_SPEC = ".17g"  # 17 significant digits round-trip every float64
 ALL_USERS = slice(None)  # the user selection that takes every user at once
 
 
@@ -58,7 +57,19 @@ class UnsupportedArityError(GameError):
     """Operation defined only for the two-user case."""
 
 
+def check_no_booleans(values, name):
+    """Raise DomainError if values, a number or a nested sequence, holds a boolean.
+
+    Float and int arrays pass on their dtype; other inputs are scanned entry by entry.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+        raise DomainError(f"{name} must be real numbers, not booleans")
+
+
 def _frozen_array(values, shape_name):
+    check_no_booleans(values, shape_name)
     arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{shape_name} contains non-finite entries")
@@ -192,8 +203,14 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """True for a real number that is not a bool (Python counts bools as numbers)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a real number a float can hold (not 10**400) that is not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def check_user(q, Q: int):
@@ -298,36 +315,23 @@ def price_of_anarchy(s_optimal: float, s_equilibrium: float) -> float:
 
 
 def format_value(value) -> str:
-    """The text of one output value: floats at full precision, booleans true/false."""
+    """The text of one output value: floats (numpy's too) at full precision, booleans true/false."""
+    if isinstance(value, (float, np.floating)):
+        return format(value, FLOAT_SPEC)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return FLOAT_FIELD.format(value)
     return str(value)
 
 
 def write_csv(dest, header, rows):
     """Write a header line and rows, comma-separated with LF endings.
 
-    dest is a path or an open text stream. Cells read as format_value spells
-    them. The row template is built once, from the types of the first row, so
-    every row must hold the same types column by column.
+    dest is a path or an open text stream. Each cell reads as format_value
+    spells it.
     """
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", newline="\n") as fh:
             return write_csv(fh, header, rows)
     dest.write(",".join(header) + "\n")
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return
-    template = ",".join(
-        FLOAT_FIELD if isinstance(v, float) else "{}" for v in first
-    ) + "\n"
-    bools = [i for i, v in enumerate(first) if isinstance(v, (bool, np.bool_))]
-    for row in itertools.chain([first], rows):
-        if bools:
-            row = list(row)
-            for i in bools:
-                row[i] = format_value(row[i])
-        dest.write(template.format(*row))
+    for row in rows:
+        dest.write(",".join(map(format_value, row)) + "\n")

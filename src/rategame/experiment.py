@@ -257,9 +257,7 @@ def aggregate(records):
 def write_trial_csv(records, path, Q: int, N: int):
     """One row per TrialRecord.
 
-    delta is cast to float because the column's text form is set by the first
-    row, and an int delta there would spell the later float ones short. A
-    record whose profile is not (Q, N) is refused before anything is written.
+    A record whose profile is not (Q, N) is refused before anything is written.
     """
     records = list(records)
     for r in records:
@@ -271,7 +269,7 @@ def write_trial_csv(records, path, Q: int, N: int):
               *(f"occupancy_u{q + 1}" for q in range(Q)), "occupancy_mean",
               "iterations", "converged", "uniqueness_ok"]
     write_csv(path, header, (
-        (r.trial, r.kind, float(r.delta), Q, N, r.sum_rate_true, *map(int, r.occupancy),
+        (r.trial, r.kind, r.delta, Q, N, r.sum_rate_true, *map(int, r.occupancy),
          r.occupancy.mean(), r.iterations, r.converged, r.uniqueness_ok)
         for r in records
     ))
@@ -280,6 +278,6 @@ def write_trial_csv(records, path, Q: int, N: int):
 def write_summary_csv(rows, path, Q: int, N: int):
     """Sweep summary: one row per (delta, kind)."""
     write_csv(path, ["delta", "Q", "N", "kind", *SUMMARY_COLUMNS], (
-        (float(row["delta"]), Q, N, row["kind"], *(row[c] for c in SUMMARY_COLUMNS))
+        (row["delta"], Q, N, row["kind"], *(row[c] for c in SUMMARY_COLUMNS))
         for row in rows
     ))

@@ -21,6 +21,7 @@ from .core import (
     StructuralError,
     UnsupportedArityError,
     check_dims,
+    check_no_booleans,
     is_real,
     sum_rate_array,
 )
@@ -45,8 +46,7 @@ class PartitionProfile:
 
 def occupied_bins(profile: PowerProfile, P) -> np.ndarray:
     """(Q, N) mask of the bins where p_q(k) > OCCUPANCY_FACTOR * P_q."""
-    if any(isinstance(b, (bool, np.bool_)) for b in np.asarray(P, dtype=object).flat):
-        raise DomainError("budgets must be real numbers, not booleans")
+    check_no_booleans(P, "budgets")
     P = np.asarray(P, dtype=float)
     if P.shape != (profile.Q,):
         raise StructuralError(f"P must hold one budget per user, shape ({profile.Q},)")

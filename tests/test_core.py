@@ -1,3 +1,4 @@
+import io
 import re
 
 import numpy as np
@@ -27,7 +28,9 @@ from rategame import (
     user_rate,
     worst_case_interference,
 )
-from rategame.core import interference_level
+from rategame.core import format_value, interference_level, write_csv
+from rategame.experiment import ChannelGenSpec, generate_channels
+from rategame.metrics import social_optimum_bruteforce
 from rategame.twouser import (AntiSymSystem, antisym_channels, antisym_config, antisym_profile,
                               interior_p, split_sum_rate)
 from rategame.waterfill import waterfill_powers
@@ -279,9 +282,22 @@ class TestValidation:
         (lambda: user_rate(two_user_channel(1, 1.0, 0.1), PowerProfile([[1.0], [1.0]]), 0,
                            eps_override=-0.1),
          DomainError, "eps_override must be nonnegative"),
+        (lambda: ChannelSet(F=np.zeros((2, 2, 1), dtype=bool), sigma2=np.ones((2, 1))),
+         DomainError, "F must be real numbers, not booleans"),
+        (lambda: ChannelSet(F=np.zeros((2, 2, 1)), sigma2=[[True], [1.0]]),
+         DomainError, "sigma2 must be real numbers, not booleans"),
+        (lambda: GameConfig(P=[True, True], pmax=np.full((2, 2), 2.0), eps=[0.0, 0.0]),
+         DomainError, "P must be real numbers, not booleans"),
+        (lambda: GameConfig(P=[0.5], pmax=[[np.True_, 1.0]], eps=[0.0]),
+         DomainError, "pmax must be real numbers, not booleans"),
+        (lambda: GameConfig(P=[0.5], pmax=[[1.0, 1.0]], eps=np.zeros(1, dtype=bool)),
+         DomainError, "eps must be real numbers, not booleans"),
+        (lambda: PowerProfile([[True, False]]), DomainError, "p must be real numbers, not booleans"),
     ], ids=["non_finite", "F_shape", "sigma2_shape", "P_ndim", "user_count", "P_zero",
             "pmax_negative", "eps_negative", "profile_ndim", "profile_negative",
-            "profile_dims", "over_mask", "off_budget", "eps_override_negative"])
+            "profile_dims", "over_mask", "off_budget", "eps_override_negative",
+            "F_bool_array", "sigma2_bool_entry", "P_bools", "pmax_numpy_bool",
+            "eps_bool_array", "profile_bools"])
     def test_input_checks(self, build, error, message):
         with pytest.raises(error, match=re.escape(message)):
             build()
@@ -390,3 +406,49 @@ class TestPublicEntryRefusals:
     def test_refused_with_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call(self)
+
+    # an int beyond the float range is refused like inf, not left to overflow later
+    @pytest.mark.parametrize("call, message", [
+        (lambda c, x: price_of_anarchy(x, 1.0), "sum-rates must be positive and finite"),
+        (lambda c, x: user_rate(c.CH, c.PROFILE, 0, eps_override=x),
+         "eps_override must be nonnegative and finite"),
+        (lambda c, x: fdma_condition_check(c.CH, x), "eps must be nonnegative and finite"),
+        (lambda c, x: partition_measure(c.PROFILE, x), "P_T must be positive and finite"),
+        (lambda c, x: interior_p(AntiSymSystem(alpha=0.2, m=x, sigma2=0.1)),
+         "m must be >= 1 and finite"),
+        (lambda c, x: alpha_crit(x, 0.1), "need m >= 1 and sigma2 > 0, both finite"),
+        (lambda c, x: find_water_level([1.0, 1.0], x, [2.0, 2.0]),
+         "total power must be a real number"),
+        (lambda c, x: generate_channels(ChannelGenSpec(Q=2, N=2, noise_power=x)),
+         "noise power must be positive"),
+        (lambda c, x: social_optimum_bruteforce(c.CH, c.CFG, grid_resolution=x),
+         "grid_resolution must be positive"),
+    ], ids=["anarchy", "rate_eps_override", "fdma_eps", "partition_P_T", "antisym_m",
+            "alpha_crit_m", "water_level_P", "noise_power", "grid_resolution"])
+    def test_int_beyond_float_range(self, call, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(self, 10**400)
+
+
+class TestWriteCsv:
+    """Each cell is spelled by format_value on its own, whatever the other rows hold."""
+
+    @staticmethod
+    def written(rows):
+        out = io.StringIO()
+        write_csv(out, ["a", "b"], rows)
+        return out.getvalue()
+
+    def test_int_first_column_with_later_floats(self):
+        assert self.written([(0, "x"), (0.2, "y")]) == "a,b\n0,x\n0.20000000000000001,y\n"
+
+    def test_bool_under_an_int_first_column(self):
+        assert self.written([(1, 2), (True, False)]) == "a,b\n1,2\ntrue,false\n"
+
+    @pytest.mark.parametrize("numpy_value, python_value", [
+        (np.float64(0.1), 0.1), (np.int64(3), 3), (np.bool_(True), True),
+        (np.float32(0.3), float(np.float32(0.3))),
+    ], ids=["float64", "int64", "bool_", "float32"])
+    def test_numpy_scalars_spelled_as_python(self, numpy_value, python_value):
+        assert format_value(numpy_value) == format_value(python_value)
+        assert self.written([(numpy_value, 0)]) == self.written([(python_value, 0)])
