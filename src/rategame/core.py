@@ -57,19 +57,23 @@ class UnsupportedArityError(GameError):
     """Operation defined only for the two-user case."""
 
 
-def check_no_booleans(values, name):
-    """Raise DomainError if values, a number or a nested sequence, holds a boolean.
+def check_real_entries(values, name):
+    """Raise DomainError if values, a number or a nested sequence, holds a boolean or a string.
 
-    Float and int arrays pass on their dtype; other inputs are scanned entry by entry.
+    Float and int arrays pass on their dtype; other inputs are scanned entry
+    by entry, since numpy reads True as 1.0 and "1" as 1.0.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
         return
-    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
-        raise DomainError(f"{name} must be real numbers, not booleans")
+    for v in np.asarray(values, dtype=object).flat:
+        if isinstance(v, (bool, np.bool_)):
+            raise DomainError(f"{name} must be real numbers, not booleans")
+        if isinstance(v, (str, bytes)):
+            raise DomainError(f"{name} must be real numbers, not strings")
 
 
 def _frozen_array(values, shape_name):
-    check_no_booleans(values, shape_name)
+    check_real_entries(values, shape_name)
     arr = np.array(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{shape_name} contains non-finite entries")
@@ -211,6 +215,20 @@ def is_real(value) -> bool:
     except OverflowError:
         return False
     return True
+
+
+def check_positive_finite(name, *values):
+    """Raise DomainError unless every value is a positive real below infinity.
+
+    A value that is not a real, is a bool or is not above 0 fails first
+    ("must be positive"); then inf and reals beyond the float range, such
+    as 10**400, fail ("must be finite").
+    """
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and v > 0
+               for v in values):
+        raise DomainError(f"{name} must be positive")
+    if not all(is_real(v) and v < np.inf for v in values):
+        raise DomainError(f"{name} must be finite")
 
 
 def check_user(q, Q: int):

@@ -21,7 +21,8 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    ChannelSet, DomainError, GameConfig, StructuralError, is_int, is_real, sum_rate, write_csv,
+    ChannelSet, DomainError, GameConfig, StructuralError, check_positive_finite, is_int, is_real,
+    sum_rate, write_csv,
 )
 from .conditions import build_report
 from .metrics import occupancy_counts
@@ -70,8 +71,8 @@ class ChannelGenSpec:
         if self.Q < 1 or self.N < 1:
             raise DomainError("Q and N must be positive")
         _check_seed(self.seed)
-        if not all(is_real(v) and v > 0 for v in (self.cross_variance, self.direct_variance)):
-            raise DomainError("variances must be positive")
+        check_positive_finite("variances", self.cross_variance, self.direct_variance)
+        # a noise power of 10**400 is refused as not positive; tests/test_core.py pins it
         if not (is_real(self.noise_power) and self.noise_power > 0):
             raise DomainError("noise power must be positive")
 

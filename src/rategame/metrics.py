@@ -21,7 +21,7 @@ from .core import (
     StructuralError,
     UnsupportedArityError,
     check_dims,
-    check_no_booleans,
+    check_real_entries,
     is_real,
     sum_rate_array,
 )
@@ -46,7 +46,7 @@ class PartitionProfile:
 
 def occupied_bins(profile: PowerProfile, P) -> np.ndarray:
     """(Q, N) mask of the bins where p_q(k) > OCCUPANCY_FACTOR * P_q."""
-    check_no_booleans(P, "budgets")
+    check_real_entries(P, "budgets")
     P = np.asarray(P, dtype=float)
     if P.shape != (profile.Q,):
         raise StructuralError(f"P must hold one budget per user, shape ({profile.Q},)")

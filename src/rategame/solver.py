@@ -10,8 +10,8 @@ probability u per round against neighbor state of bounded age).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     PowerProfile,
     assert_feasible,
     check_dims,
+    check_positive_finite,
     is_int,
     is_real,
     write_csv,
@@ -69,10 +70,7 @@ class SolverOptions:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if not (is_real(self.tol) and self.tol > 0):
-            raise DomainError("tol must be positive")
-        if self.tol == math.inf:
-            raise DomainError("tol must be finite")
+        check_positive_finite("tol", self.tol)
         if not is_int(self.max_iters):
             raise DomainError("max_iters must be an integer")
         if self.max_iters < 1:
@@ -132,6 +130,31 @@ def _round_views(schedule, p, ring, slot, rnd, rng):
     return zip(qs.tolist(), ring[(slot - ages) % len(ring), users])
 
 
+# the inputs and result of the latest solve that recorded no trajectory; see
+# solve. One tuple, replaced whole, so that threads sharing it never pair one
+# solve's inputs with another's result.
+_latest = None
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _latest_result(ch, cfg, initial, schedule, opts):
+    """A copy of the latest result if its solve had these inputs byte for byte, else None."""
+    if _latest is None:
+        return None
+    last_schedule, last_opts, arrays, ch_ref, result = _latest
+    if last_schedule != schedule or last_opts != opts:
+        return None
+    if not all(map(_same_bytes, arrays, (cfg.eps, cfg.P, ch.sigma2, cfg.pmax, initial.p))):
+        return None
+    last_ch = ch_ref()
+    if last_ch is None or not _same_bytes(last_ch.F, ch.F):
+        return None
+    return replace(result, mu=result.mu.copy())
+
+
 def solve(
     ch: ChannelSet,
     cfg: GameConfig,
@@ -164,9 +187,22 @@ def solve(
     max_iters.bit_length() profiles.
     random_async solves (their rounds draw from the RNG) and solves that
     record a trajectory run every round.
+
+    A solve is a function of its inputs alone, so when they equal those of
+    the latest solve that recorded no trajectory, it returns that solve's
+    result and runs no round: at delta 0 a Monte-Carlo trial's robust and
+    nominal games are its perfect game byte for byte. Inputs are equal when
+    schedule and opts are equal and eps, P, sigma2, pmax, initial.p and F
+    have the same shapes and bytes (so -0.0 is not 0.0). The returned
+    profile is shared, being read-only; mu is a fresh copy. Only one result
+    is kept, and ch only by weak reference, so it keeps no channels alive.
     """
+    global _latest
     check_dims(ch, cfg, initial)
     assert_feasible(cfg, initial)
+    latest = _latest_result(ch, cfg, initial, schedule, opts)
+    if latest is not None:
+        return latest
 
     p = initial.p.copy()
     rng = np.random.default_rng(schedule.seed)
@@ -216,7 +252,7 @@ def solve(
     if not converged:
         residual, mus = _residual(ch, cfg, p)
 
-    return EquilibriumResult(
+    result = EquilibriumResult(
         profile=PowerProfile(p),
         mu=mus,
         iterations=rnd if converged else opts.max_iters,
@@ -224,6 +260,10 @@ def solve(
         converged=converged,
         trajectory=np.asarray(trajectory) if trajectory is not None else None,
     )
+    if trajectory is None:
+        _latest = (schedule, opts, (cfg.eps, cfg.P, ch.sigma2, cfg.pmax, initial.p),
+                   weakref.ref(ch), replace(result, mu=mus.copy()))
+    return result
 
 
 def write_trajectory_csv(result: EquilibriumResult, path):

@@ -302,6 +302,29 @@ class TestValidation:
         with pytest.raises(error, match=re.escape(message)):
             build()
 
+    # numpy reads "1" as 1.0, so string entries are refused like booleans
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GameConfig(P=["1", "1"], pmax=np.full((2, 2), 2.0), eps=[0, 0]),
+         "P must be real numbers, not strings"),
+        (lambda: PowerProfile([["0.5", "0.5"]]), "p must be real numbers, not strings"),
+        (lambda: PowerProfile(np.array([["0.5", "0.5"]])), "p must be real numbers, not strings"),
+        (lambda: ChannelSet(F=np.zeros((1, 1, 1)), sigma2=[[b"1"]]),
+         "sigma2 must be real numbers, not strings"),
+        (lambda: GameConfig(P=[0.5], pmax=[[1.0, 1.0]], eps="0"),
+         "eps must be real numbers, not strings"),
+        (lambda: GameConfig(P=[0.5], pmax=np.array([[1.0, "1"]], dtype=object), eps=[0.0]),
+         "pmax must be real numbers, not strings"),
+    ], ids=["P_strings", "profile_strings", "profile_str_array", "sigma2_bytes", "eps_string",
+            "pmax_object_array"])
+    def test_string_entries_refused(self, build, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build()
+
+    def test_int_and_float_entries_pass(self):
+        cfg = GameConfig(P=np.ones(2, dtype=np.int64), pmax=[[2, 2], [2.0, 2.0]], eps=[0, 0.5])
+        assert cfg.P.dtype == cfg.pmax.dtype == cfg.eps.dtype == float
+        assert PowerProfile(np.full((1, 2), 1, dtype=np.uint8)).p.tolist() == [[1.0, 1.0]]
+
 
 class TestPublicEntryRefusals:
     """Bad arguments at a public function end in a DomainError, not a numpy or Python error."""

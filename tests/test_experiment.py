@@ -77,6 +77,17 @@ class TestGenerateChannels:
         with pytest.raises(DomainError, match=message):
             ChannelGenSpec(**{"Q": 2, "N": 2, **fields})
 
+    # an infinite variance, or one a float cannot hold, is refused as not finite
+    @pytest.mark.parametrize("name", ["cross_variance", "direct_variance"])
+    @pytest.mark.parametrize("value", [10**400, float("inf")], ids=["int_10e400", "inf"])
+    def test_variances_must_be_finite(self, name, value):
+        with pytest.raises(DomainError, match="variances must be finite"):
+            ChannelGenSpec(Q=2, N=2, **{name: value})
+
+    def test_non_positive_variance_named_before_infinite_one(self):
+        with pytest.raises(DomainError, match="variances must be positive"):
+            ChannelGenSpec(Q=2, N=2, cross_variance=float("inf"), direct_variance=-1.0)
+
 
 class TestPerturbChannels:
     @pytest.mark.parametrize("fields, message", [
@@ -269,6 +280,54 @@ class TestSweep:
                 assert ch.F.tobytes() == per_ch.F.tobytes()
                 assert ch.sigma2.tobytes() == per_ch.sigma2.tobytes()
                 assert game_cfg.eps.tobytes() == np.zeros(3).tobytes()
+
+    def test_zero_delta_hits_equal_fresh_solves(self, monkeypatch):
+        # the nominal and perfect solves of a delta-0 trial return the robust
+        # solve's result; each must equal a solve of its game from an empty slot
+        calls = self._count_calls(monkeypatch)
+        cfg = default_game_config(3, 16)
+        for trial in range(7):
+            calls["solve"].clear()
+            run_single_trial(self.C11_GEN, self.C11_WIDTHS[0], cfg, self.SCHEDULE,
+                             self.OPTS, trial)
+            robust, *hits = (result for _, _, result in calls["solve"])
+            assert all(hit.profile is robust.profile for hit in hits)
+            for ch, game_cfg, result in calls["solve"]:
+                monkeypatch.setattr(solver, "_latest", None)
+                fresh = solver.solve(ch, game_cfg, solver.default_initial_profile(ch, game_cfg),
+                                     self.SCHEDULE, self.OPTS)
+                assert result.profile.p.tobytes() == fresh.profile.p.tobytes()
+                assert result.mu.tobytes() == fresh.mu.tobytes()
+                assert (result.residual, result.iterations, result.converged) == (
+                    fresh.residual, fresh.iterations, fresh.converged)
+
+    @pytest.mark.parametrize("width, solved", [(0, 1), (2, 3)], ids=["delta_0", "delta_0.4"])
+    def test_trial_rounds_are_those_of_its_distinct_games(self, monkeypatch, width, solved):
+        # a delta-0 trial runs the rounds of one solve; a delta-0.4 trial those of three
+        rounds = [0]
+        original = solver._round_views
+
+        def counted(*args):
+            rounds[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_round_views", counted)
+        monkeypatch.setattr(solver, "_latest", None)
+        calls = self._count_calls(monkeypatch)
+        run_single_trial(self.C11_GEN, self.C11_WIDTHS[width], default_game_config(3, 16),
+                         self.SCHEDULE, self.OPTS, 1)
+        trial_rounds = rounds[0]
+        per_game = []
+        for ch, game_cfg, _ in calls["solve"]:
+            monkeypatch.setattr(solver, "_latest", None)
+            rounds[0] = 0
+            solver.solve(ch, game_cfg, solver.default_initial_profile(ch, game_cfg),
+                         self.SCHEDULE, self.OPTS)
+            per_game.append(rounds[0])
+        assert len(per_game) == 3 and min(per_game) > 0
+        assert trial_rounds == sum(per_game[:solved])
+        if solved == 1:
+            assert per_game == per_game[:1] * 3
 
     def test_capped_c11_solves_exit_their_cycle(self, best_response_calls):
         # trial 6's nominal solves at delta 0.4 and 0.6 hit max_iters; they

@@ -258,6 +258,14 @@ class TestOccupancy:
         with pytest.raises(error, match=re.escape(message)):
             (occupancy_counts if count else occupied_bins)(self.PROFILE, P)
 
+    @pytest.mark.parametrize("count", [False, True], ids=["bins", "counts"])
+    @pytest.mark.parametrize("P", [["1", "1", "1"], [1.0, "1", 1.0], np.array(["1"] * 3),
+                                   [b"1"] * 3],
+                             ids=["str_list", "str_in_list", "str_array", "bytes_list"])
+    def test_refuses_string_budgets(self, count, P):
+        with pytest.raises(DomainError, match="budgets must be real numbers, not strings"):
+            (occupancy_counts if count else occupied_bins)(self.PROFILE, P)
+
     def test_one_rule_for_counts_partition_and_overlap_sets(self):
         # entries exactly at the threshold are empty, the next float up is occupied
         at = OCCUPANCY_FACTOR * 1.0

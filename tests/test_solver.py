@@ -1,6 +1,11 @@
 import contextlib
+import gc
 import hashlib
+import sys
+import threading
 import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from rategame import (
     ChannelSet,
     DomainError,
     GameConfig,
+    NumericalError,
     PowerProfile,
     Schedule,
     SolverOptions,
@@ -24,6 +30,7 @@ from rategame import (
     sum_rate,
     write_trajectory_csv,
 )
+from rategame import solver
 from rategame.conditions import block_norm
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config, interior_p
 
@@ -262,6 +269,174 @@ class TestCycleExit:
                      SolverOptions(tol=1e-8, max_iters=max_iters))
         assert_same_result(fast, full)
         assert full.trajectory[-1].tobytes() == fast.profile.p.tobytes()
+
+
+def nudged(arr, index, value=None):
+    """A writable copy of arr whose entry at index is the next float up, or value."""
+    out = np.array(arr)
+    out[index] = np.nextafter(out[index], np.inf) if value is None else value
+    return out
+
+
+class TestLatestResult:
+    """solve returns its latest result for byte-equal inputs, and runs no round."""
+
+    SCHEDULE = Schedule(kind="gauss_seidel")
+    OPTS = SolverOptions(tol=1e-8, max_iters=1000)
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """One-item list counting the rounds solve runs (one _round_views call each)."""
+        calls = [0]
+        original = solver._round_views
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_round_views", counted)
+        monkeypatch.setattr(solver, "_latest", None)
+        return calls
+
+    @staticmethod
+    def game():
+        ch = generate_channels(ChannelGenSpec(Q=3, N=4, seed=5))
+        cfg = GameConfig(P=np.ones(3), pmax=np.ones((3, 4)), eps=np.full(3, 0.05))
+        return ch, cfg, default_initial_profile(ch, cfg)
+
+    def test_hit_returns_the_latest_result(self, rounds):
+        ch, cfg, initial = self.game()
+        first = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        ran = rounds[0]
+        assert ran > 0
+        # equal games built anew, not the same objects
+        again = solve(ChannelSet(F=ch.F, sigma2=ch.sigma2), replace(cfg),
+                      PowerProfile(initial.p), Schedule(kind="gauss_seidel"),
+                      SolverOptions(tol=1e-8, max_iters=1000))
+        assert rounds[0] == ran
+        assert_same_result(again, first)
+        assert again is not first and again.profile is first.profile
+        assert again.mu is not first.mu and again.trajectory is None
+
+    @pytest.mark.parametrize("change", [
+        lambda ch, cfg, p, s, o: (ChannelSet(F=nudged(ch.F, (1, 0, 2)), sigma2=ch.sigma2),
+                                  cfg, p, s, o),
+        lambda ch, cfg, p, s, o: (ChannelSet(F=ch.F, sigma2=nudged(ch.sigma2, (2, 1))),
+                                  cfg, p, s, o),
+        lambda ch, cfg, p, s, o: (ch, replace(cfg, eps=nudged(cfg.eps, 1)), p, s, o),
+        lambda ch, cfg, p, s, o: (ch, replace(cfg, P=nudged(cfg.P, 0)), p, s, o),
+        lambda ch, cfg, p, s, o: (ch, replace(cfg, pmax=nudged(cfg.pmax, (0, 3))), p, s, o),
+        lambda ch, cfg, p, s, o: (ch, cfg, PowerProfile(nudged(p.p, (2, 0))), s, o),
+        lambda ch, cfg, p, s, o: (ChannelSet(F=nudged(ch.F, (0, 0, 0), -0.0), sigma2=ch.sigma2),
+                                  cfg, p, s, o),
+        lambda ch, cfg, p, s, o: (ch, cfg, p, replace(s, seed=1), o),
+        lambda ch, cfg, p, s, o: (ch, cfg, p, s, replace(o, tol=2e-8)),
+    ], ids=["F", "sigma2", "eps", "P", "pmax", "initial", "negative_zero_in_F",
+            "schedule_seed", "tol"])
+    def test_one_changed_input_misses(self, rounds, change):
+        ch, cfg, initial = self.game()
+        solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        ran = rounds[0]
+        other = change(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        solve(*other)
+        assert rounds[0] > ran
+        # and the changed game is now the latest one
+        ran = rounds[0]
+        solve(*other)
+        assert rounds[0] == ran
+
+    def test_writing_into_mu_leaves_the_next_hit(self, rounds):
+        ch, cfg, initial = self.game()
+        first = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        mu = first.mu.tobytes()
+        first.mu[:] = 7.0
+        hit = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        assert hit.mu.tobytes() == mu
+        hit.mu[:] = 9.0
+        assert solve(ch, cfg, initial, self.SCHEDULE, self.OPTS).mu.tobytes() == mu
+
+    def test_trajectory_solves_bypass_the_slot(self, rounds):
+        ch, cfg, initial = self.game()
+        recorded = SolverOptions(tol=1e-8, max_iters=1000, record_trajectory=True)
+        first = solve(ch, cfg, initial, self.SCHEDULE, recorded)
+        ran = rounds[0]
+        second = solve(ch, cfg, initial, self.SCHEDULE, recorded)
+        assert rounds[0] == 2 * ran and second.trajectory.shape == first.trajectory.shape
+        # a recorded solve stores nothing, so the plain solve runs its rounds too
+        plain = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        assert rounds[0] == 3 * ran and plain.trajectory is None
+        # and the plain result is not returned to a solve that records
+        solve(ch, cfg, initial, self.SCHEDULE, recorded)
+        assert rounds[0] == 4 * ran
+
+    def test_raising_solve_stores_nothing(self, rounds, monkeypatch):
+        ch, cfg, initial = self.game()
+        kept = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        other = replace(cfg, eps=np.zeros(3))
+
+        def fails(*args):
+            raise NumericalError("water level missed its budget")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "best_response_powers", fails)
+            with pytest.raises(NumericalError):
+                solve(ch, other, initial, self.SCHEDULE, self.OPTS)
+        ran = rounds[0]
+        solve(ch, other, initial, self.SCHEDULE, self.OPTS)
+        assert rounds[0] > ran  # the failed game was not stored
+        ran = rounds[0]
+        solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        assert rounds[0] > ran  # other's result displaced the first game's
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "best_response_powers", fails)
+            with pytest.raises(NumericalError):
+                solve(ch, other, initial, self.SCHEDULE, self.OPTS)
+        ran = rounds[0]
+        assert_same_result(solve(ch, cfg, initial, self.SCHEDULE, self.OPTS), kept)
+        assert rounds[0] == ran  # the failed solve left the latest result in its slot
+
+    def test_slot_keeps_no_channels_alive(self, rounds):
+        ch, cfg, initial = self.game()
+        solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        ref = weakref.ref(ch)
+        del ch
+        gc.collect()
+        assert ref() is None
+        # the equal game of a new ChannelSet misses once the old one is gone
+        ran = rounds[0]
+        ch, _, _ = self.game()
+        solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
+        assert rounds[0] == 2 * ran
+
+    def test_threads_sharing_the_slot_get_their_own_games(self):
+        # four threads on two cores alternate two games through the one slot,
+        # with a short switch interval; each result must be its own game's
+        games = [self.game()]
+        ch, cfg, initial = games[0]
+        games.append((ch, replace(cfg, eps=np.zeros(3)), initial))
+        solver._latest = None
+        expected = [solve(*game, self.SCHEDULE, self.OPTS).profile.p.tobytes() for game in games]
+        wrong = []
+
+        def work(offset):
+            for i in range(40):
+                game = (i + offset) % 2
+                result = solve(*games[game], self.SCHEDULE, self.OPTS)
+                if result.profile.p.tobytes() != expected[game]:
+                    wrong.append((offset, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestSnapshots:
@@ -612,6 +787,20 @@ def test_input_checks(tmp_path, call, message):
     with pytest.raises(DomainError, match=message):
         call(path)
     assert not path.exists()
+
+
+# a tol a float cannot hold is too large, like inf, not too small
+@pytest.mark.parametrize("tol, message", [
+    (10**400, "tol must be finite"),
+    (float("inf"), "tol must be finite"),
+    (-10**400, "tol must be positive"),
+    (0, "tol must be positive"),
+    (float("nan"), "tol must be positive"),
+    ("1e-8", "tol must be positive"),
+], ids=["int_10e400", "inf", "negative_int_10e400", "zero", "nan", "string"])
+def test_tol_faults(tol, message):
+    with pytest.raises(DomainError, match=message):
+        SolverOptions(tol=tol)
 
 
 class TestTrajectoryCsv:
