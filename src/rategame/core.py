@@ -250,33 +250,48 @@ def assert_feasible(cfg: GameConfig, profile: PowerProfile):
 
 
 def interference_level(F, sigma2, eps, p, q) -> np.ndarray:
-    """Worst-case noise-plus-interference on raw arrays, for one user or all.
+    """Worst-case noise-plus-interference on raw arrays, for one user, all or a stack.
 
     Phi_q(k) = sigma_q^2(k) + sum_{r != q} F_rq(k) p_r(k)
              + eps_q * sqrt(sum_{r != q} p_r(k)^2)
 
-    F is (Q, Q, N) with zero diagonal and p the full (Q, N) power matrix, so
-    only rows r != q enter; eps_q = 0 gives the nominal level. q is one
-    user's index, with eps that user's bound, for its (N,) level; or
-    ALL_USERS, with eps the (Q,) bounds, for the (Q, N) levels of every user
-    against the same p, whose row q equals user q's own call byte for byte.
-    The robust term is formed only for users with eps_q > 0. The solver, the
-    condition checks and the rate functions all compute Phi here.
+    F is (Q, Q, N) with zero diagonal, so only rows r != q of the powers
+    enter; eps_q = 0 gives the nominal level. The user selection q is one of:
+    a user index, with eps that user's bound and p the full (Q, N) power
+    matrix, for its (N,) level; ALL_USERS, with eps the (Q,) bounds, for the
+    (Q, N) levels of every user against the same p; or an index array of B
+    users, with eps their (B,) bounds and p a (B, Q, N) stack of power
+    matrices, for the (B, N) levels of user q[b] against p[b]. Every row
+    equals that user's own call byte for byte. The robust term is formed
+    only for rows with eps_q > 0. The solver, the condition checks and the
+    rate functions all compute Phi here.
     """
-    phi = np.einsum("r...k,rk->...k", F[:, q, :], p)
+    if p.ndim == 3:
+        # F's columns q, gathered into a buffer one column wider so that, like
+        # F[:, q, :] for one user, they are not contiguous along r: at N = 1
+        # einsum sums a contiguous operand in another order
+        cross = np.empty((len(F), len(q) + 1, F.shape[2]))[:, :-1]
+        np.take(F, q, axis=1, out=cross)
+    else:
+        cross = F[:, q, :]
+    phi = np.einsum("r...k,...rk->...k", cross, p)
     phi += sigma2[q]
     if phi.ndim == 1:
         if not eps > 0:
             return phi
-        rows = q
+        rows = own = q
     else:
         rows = np.flatnonzero(eps > 0)
         if not rows.size:
             return phi
         eps = eps[rows, None]
+        own = rows
+        if p.ndim == 3:  # row b squares only its own view, p[b], at its user q[b]
+            p = p[rows]
+            own = (np.arange(rows.size), q[rows])
     squares = p * p
-    sq = squares[rows]
-    np.subtract(np.add.reduce(squares, 0), sq, out=sq)
+    sq = squares[own]
+    np.subtract(np.add.reduce(squares, -2), sq, out=sq)
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
     sq *= eps

@@ -72,9 +72,7 @@ class ChannelGenSpec:
             raise DomainError("Q and N must be positive")
         _check_seed(self.seed)
         check_positive_finite("variances", self.cross_variance, self.direct_variance)
-        # a noise power of 10**400 is refused as not positive; tests/test_core.py pins it
-        if not (is_real(self.noise_power) and self.noise_power > 0):
-            raise DomainError("noise power must be positive")
+        check_positive_finite("noise power", self.noise_power)
 
 
 @dataclass(frozen=True)

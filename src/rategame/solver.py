@@ -115,7 +115,9 @@ def _round_views(schedule, p, ring, slot, rnd, rng):
     ring[slot]. gauss_seidel updates user by user against the live p and
     draws nothing. random_async draws who updates, then in one call an age in
     0..min(rnd, max_staleness + 1)-1 for every other user of each updating
-    user, in user order, and one gather from the ring gives all their views.
+    user, in user order, and one gather from the ring gives all their views:
+    one pair of the updating users' index array and the (B, Q, N) stack of
+    their views, or no pair when no user updates.
     """
     Q = p.shape[0]
     if schedule.kind == "jacobi":
@@ -127,7 +129,7 @@ def _round_views(schedule, p, ring, slot, rnd, rng):
     ages = np.zeros((len(qs), Q), dtype=np.intp)  # a user knows its own latest powers
     bound = min(rnd, schedule.max_staleness + 1)
     ages[users != qs[:, None]] = rng.integers(0, bound, (len(qs), Q - 1)).ravel()
-    return zip(qs.tolist(), ring[(slot - ages) % len(ring), users])
+    return ((qs, ring[(slot - ages) % len(ring), users]),) if len(qs) else ()
 
 
 # the inputs and result of the latest solve that recorded no trajectory; see
@@ -165,8 +167,10 @@ def solve(
     """Iterate robust waterfilling rounds until the profile stops moving.
 
     A round makes one best-response call per (users, view) pair of its
-    schedule: one call for all users in a jacobi round, one per updating user
-    in a gauss_seidel or random_async round.
+    schedule: one call for all users against the round-start profile in a
+    jacobi round, one per user against the live profile in a gauss_seidel
+    round, and in a random_async round one call for its updating users
+    against their stacked stale views (none when no user updates).
 
     Convergence is declared once the per-round max-norm change drops below
     opts.tol and the simultaneous fixed-point residual confirms it at
@@ -216,8 +220,9 @@ def solve(
     # anchors[j] is the (bytes, round) of the latest round divisible by 2**j
     anchors = {} if schedule.kind != "random_async" and trajectory is None else None
 
-    # P as Python floats: the water-level sweep's scalar steps run faster on them
-    F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps, cfg.P.tolist(), cfg.pmax
+    # P as Python floats, which the water-level sweep's scalar steps run
+    # faster on, in an array that every user selection indexes
+    F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps, cfg.P.astype(object), cfg.pmax
     converged = False
     last = opts.max_iters  # lowered to the cycle's matching round once one is proven
     for rnd in range(1, opts.max_iters + 1):

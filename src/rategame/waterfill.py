@@ -184,10 +184,16 @@ def fill_powers(phi, P, pmax):
 def best_response_powers(F, sigma2, eps, p, q, P, pmax):
     """Robust best response on raw arrays; eps, P and pmax come from a GameConfig.
 
-    p is the full (Q, N) power matrix and q selects as in interference_level:
-    a user index, with that user's eps, P and pmax row, gives its powers and
+    q selects as in interference_level: a user index, with that user's eps,
+    P and pmax row and the full (Q, N) power matrix p, gives its powers and
     water level; ALL_USERS, with eps, P and pmax for every user, gives the
-    (Q, N) powers and (Q,) water levels of all users against the same p.
+    (Q, N) powers and (Q,) water levels of all users against the same p; an
+    index array of B users, with their eps, P and pmax rows and p the
+    (B, Q, N) stack of their views, gives the (B, N) powers and (B,) water
+    levels of user q[b] against p[b]. A call for several users forms Phi of
+    all of them before any sweep, so where several rows fail it raises the
+    first failure of Phi (a floating-point error under np.errstate, then
+    non-finite levels) and only then the first failing row's sweep error.
     """
     return fill_powers(interference_level(F, sigma2, eps, p, q), P, pmax)
 

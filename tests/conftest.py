@@ -79,9 +79,11 @@ def rng():
 def best_response_calls(monkeypatch):
     """One-item list counting the best responses that solve's rounds compute.
 
-    A call for all users counts one best response per user: one per water
-    level it returns. The fixed-point residual reaches the best response
-    through waterfill, not through solver, so it is not counted.
+    A call for several users (all users in a jacobi round, the updating
+    users against their stacked views in a random_async round) counts one
+    best response per user: one per water level it returns. The fixed-point
+    residual reaches the best response through waterfill, not through
+    solver, so it is not counted.
     """
     calls = [0]
     original = solver.best_response_powers

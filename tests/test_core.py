@@ -443,7 +443,7 @@ class TestPublicEntryRefusals:
         (lambda c, x: find_water_level([1.0, 1.0], x, [2.0, 2.0]),
          "total power must be a real number"),
         (lambda c, x: generate_channels(ChannelGenSpec(Q=2, N=2, noise_power=x)),
-         "noise power must be positive"),
+         "noise power must be finite"),
         (lambda c, x: social_optimum_bruteforce(c.CH, c.CFG, grid_resolution=x),
          "grid_resolution must be positive"),
     ], ids=["anarchy", "rate_eps_override", "fdma_eps", "partition_P_T", "antisym_m",

@@ -69,10 +69,12 @@ class TestGenerateChannels:
         (dict(noise_power=True), "noise power must be positive"),
         (dict(cross_variance=True), "variances must be positive"),
         (dict(direct_variance=True), "variances must be positive"),
+        (dict(noise_power=-1.0), "noise power must be positive"),
+        (dict(noise_power=float("inf")), "noise power must be finite"),
     ], ids=["no_users", "no_bins", "cross_variance", "direct_variance", "noise_power",
             "fractional_bins", "float_users", "negative_seed", "fractional_seed",
             "bool_users", "bool_seed", "bool_noise_power", "bool_cross_variance",
-            "bool_direct_variance"])
+            "bool_direct_variance", "negative_noise_power", "inf_noise_power"])
     def test_spec_checks(self, fields, message):
         with pytest.raises(DomainError, match=message):
             ChannelGenSpec(**{"Q": 2, "N": 2, **fields})

@@ -456,6 +456,39 @@ class TestSnapshots:
                 assert row.tobytes() == per_user.integers(0, K, Q - 1).tobytes()
         assert batched.random() == per_user.random()
 
+    def test_random_async_round_is_one_call_for_its_updating_users(self, monkeypatch):
+        # each round with an updating user makes one call, with the users as
+        # an index array and their views as a (B, Q, N) stack; a round in
+        # which no user updates makes none
+        Q, N = 5, 6
+        draws, calls = [], []
+        original_views, original_br = solver._round_views, solver.best_response_powers
+
+        def views(schedule, p, ring, slot, rnd, rng):
+            pairs = tuple(original_views(schedule, p, ring, slot, rnd, rng))
+            draws.append(pairs)
+            return pairs
+
+        def br(F, sigma2, eps, view, q, P, pmax):
+            calls.append((q, view.shape))
+            return original_br(F, sigma2, eps, view, q, P, pmax)
+
+        monkeypatch.setattr(solver, "_round_views", views)
+        monkeypatch.setattr(solver, "best_response_powers", br)
+        ch = generate_channels(ChannelGenSpec(Q=Q, N=N, cross_variance=0.1, seed=2))
+        cfg = GameConfig(P=np.ones(Q), pmax=np.ones((Q, N)), eps=np.full(Q, 0.05))
+        res = solve(ch, cfg, default_initial_profile(ch, cfg),
+                    Schedule(kind="random_async", seed=4, update_probability=0.3,
+                             max_staleness=2),
+                    SolverOptions(tol=1e-9, max_iters=300))
+        assert len(draws) == res.iterations
+        assert any(not pairs for pairs in draws) and any(pairs for pairs in draws)
+        ran = [pairs[0] for pairs in draws if pairs]
+        assert len(calls) == len(ran)
+        for (qs, stack), (q, shape) in zip(ran, calls):
+            assert q is qs and qs.size >= 1
+            assert shape == (qs.size, Q, N)
+
     INT64_MAX = np.int64(2**63 - 1)
 
     # sha256 of the trajectory and mu bytes, recorded before the stale views
@@ -837,3 +870,30 @@ class TestTrajectoryCsv:
         out = tmp_path / "traj.csv"
         write_trajectory_csv(res, out)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # sha256 of the trajectory CSV of a Q = 8, N = 64 random_async solve in
+    # which users with eps 0 sit beside users with eps 0.05, recorded while
+    # each updating user still made its own best-response call; at u = 0.2
+    # some rounds update no user at all
+    def test_random_async_idle_rounds_pinned_bytes(self, tmp_path, monkeypatch):
+        pairs = []
+        original = solver._round_views
+
+        def counted(*args):
+            views = tuple(original(*args))
+            pairs.append(len(views))
+            return views
+
+        monkeypatch.setattr(solver, "_round_views", counted)
+        ch = generate_channels(ChannelGenSpec(Q=8, N=64, seed=5, cross_variance=0.1))
+        cfg = GameConfig(P=np.ones(8), pmax=np.ones((8, 64)), eps=np.tile([0.0, 0.05], 4))
+        res = solve(ch, cfg, default_initial_profile(ch, cfg),
+                    Schedule(kind="random_async", seed=3, update_probability=0.2,
+                             max_staleness=2),
+                    SolverOptions(tol=1e-8, max_iters=200, record_trajectory=True))
+        out = tmp_path / "traj.csv"
+        write_trajectory_csv(res, out)
+        assert (res.iterations, res.converged) == (84, True)
+        assert 0 in pairs
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "cdde4f7001c067fd69dff136aa8d95718dfb46298a92c5eb4b82066126924415")

@@ -294,13 +294,8 @@ def outcome(call):
 
 def per_user_outcome(F, sigma2, eps, p, P, pmax):
     """Phi and best responses user by user, stacked, or the first user's exception class."""
-    def call():
-        rows = [(interference_level(F, sigma2, eps[q], p, q),
-                 *best_response_powers(F, sigma2, eps[q], p, q, P[q], pmax[q]))
-                for q in range(len(eps))]
-        phi, powers, mu = zip(*rows)
-        return np.stack(phi), np.stack(powers), np.array(mu)
-    return outcome(call)
+    Q = len(eps)
+    return per_row_outcome(F, sigma2, eps, p, P, pmax, np.arange(Q), [p] * Q)
 
 
 def all_user_outcome(F, sigma2, eps, p, P, pmax):
@@ -372,6 +367,98 @@ class TestAllUsers:
             for q in (0, 1):
                 assert outcome(lambda: best_response_powers(
                     *game[:2], game[2][q], game[3], q, game[4][q], game[5][q])) != raised
+            # users 0 and 1 alone, each against its own copy of p, make a
+            # stacked call that forms no robust term and so raises nothing
+            views = np.stack([game[3]] * 2)
+            assert isinstance(stacked_outcome(*game, np.array([0, 1]), views), list)
+            for qs in ([2], [0, 1, 2], [1, 2, 0]):
+                qs = np.array(qs)
+                views = np.stack([game[3]] * len(qs))
+                assert per_row_outcome(*game, qs, views) is raised
+                assert stacked_outcome(*game, qs, views) is raised
+
+
+def stale_views(rng, p, qs):
+    """One (Q, N) view per selected user: p with each row rescaled or zeroed at random."""
+    scale = rng.uniform(0.25, 4.0, (len(qs), len(p), 1))
+    scale[rng.random(scale.shape) < 0.2] = 0.0
+    scale[rng.random(scale.shape) < 0.3] = 1.0
+    return p * scale
+
+
+def per_row_outcome(F, sigma2, eps, p, P, pmax, qs, views):
+    """Phi and best responses of user qs[b] against views[b], one call per row, stacked.
+
+    A failing row gives the first failing row's exception class.
+    """
+    def call():
+        rows = [(interference_level(F, sigma2, eps[q], view, q),
+                 *best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q]))
+                for q, view in zip(qs.tolist(), views)]
+        phi, powers, mu = zip(*rows)
+        return np.stack(phi), np.stack(powers), np.array(mu)
+    return outcome(call)
+
+
+def stacked_outcome(F, sigma2, eps, p, P, pmax, qs, views):
+    """The same from one call with the index array qs and the (B, Q, N) stack of views."""
+    P = np.asarray(P)[qs].tolist()
+    def call():
+        return (interference_level(F, sigma2, eps[qs], views, qs),
+                *best_response_powers(F, sigma2, eps[qs], views, qs, P, pmax[qs]))
+    return outcome(call)
+
+
+class TestStackedViews:
+    """One call for B users, each against its own view, gives each user's own call, byte for byte.
+
+    The index-array selection is random_async's round: its updating users
+    against the stale views drawn for them.
+    """
+
+    def test_bits_equal_the_per_user_calls_on_random_games(self):
+        rng = np.random.default_rng(30)
+        sizes = set()
+        for _ in range(300):
+            Q, N = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            game = wide_range_game(rng, Q, N, str(rng.choice(["zero", "uniform", "mixed"])))
+            if Q > 1 and rng.random() < 0.5:  # both kinds of user, side by side
+                game[2][:2] = rng.permutation([0.0, 2.5])
+            for qs in (np.array([int(rng.integers(Q))]), np.arange(Q),
+                       np.flatnonzero(rng.random(Q) < 0.5), rng.permutation(Q)[:Q // 2 + 1]):
+                if not qs.size:
+                    continue
+                views = stale_views(rng, game[3], qs)
+                expected = per_row_outcome(*game, qs, views)
+                assert isinstance(expected, list)
+                assert stacked_outcome(*game, qs, views) == expected
+                sizes.add((N == 1, "one" if qs.size == 1 else "all" if qs.size == Q else "some"))
+        # N = 1 and wider, each with B = 1, B = Q and 1 < B < Q
+        assert len(sizes) == 6
+
+    def test_one_row_per_selected_user_in_selection_order(self):
+        # a user may appear twice and in any order: row b is user qs[b]'s
+        rng = np.random.default_rng(31)
+        game = wide_range_game(rng, 5, 7, "mixed")
+        qs = np.array([3, 0, 3, 4])
+        views = stale_views(rng, game[3], qs)
+        assert stacked_outcome(*game, qs, views) == per_row_outcome(*game, qs, views)
+
+    def test_phi_failure_is_raised_before_any_sweep(self):
+        # row 0 fails in its sweep (levels that dwarf the masks) and row 1 in
+        # Phi (an infinite level): the per-row loop raises row 0's error, the
+        # stacked call the first failure of Phi over all rows
+        Q, N = 2, 3
+        F = np.zeros((Q, Q, N))
+        F[0, 1] = 1e308
+        sigma2 = np.array([[1e30] * N, [1e308] * N])
+        eps, P, pmax = np.zeros(Q), [1.0, 1.0], np.ones((Q, N))
+        qs = np.array([0, 1])
+        views = np.ones((2, Q, N))
+        game = (F, sigma2, eps, views[0], P, pmax)
+        with np.errstate(over="ignore"):
+            assert per_row_outcome(*game, qs, views) is NumericalError
+            assert stacked_outcome(*game, qs, views) is DomainError
 
 
 class TestProjectionResidual:
