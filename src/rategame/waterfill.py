@@ -5,11 +5,21 @@ where Phi is the worst-case noise-plus-interference level and the water level
 mu makes the total power land exactly on the budget. The same operator is the
 Euclidean projection of -Phi onto the admissible set
 {0 <= p <= pmax, sum p = P}, which is what projection_residual exercises.
+
+A water level comes from one of two passes that give the same bits. The
+opens-first pass sorts a row's N levels and fills with slopes 1, 2, ..., N,
+as if no mask closed; for a (B, N) stack it sorts and fills all rows at once.
+It keeps a row's level only where no mask closes at or below the level's
+segment, which _opens_crossing checks against the row's lowest close. Every
+other row, one where a mask binds below the level or where the values near
+the float range could meet a floating-point error, takes the 2N-event
+breakpoint sweep, _sweep, row by row.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -35,8 +45,9 @@ def find_water_level(phi, P: float, pmax) -> float:
 
     The allocated total is piecewise linear and nondecreasing in mu with
     breakpoints at phi(k) and phi(k) + pmax(k); the crossing segment is found
-    by a breakpoint sweep and solved linearly. Returns the level on the first
-    segment whose running fill, in floating point, reaches P. That is the
+    by a breakpoint sweep, over the levels alone where no mask closes below
+    it, and solved linearly. Returns the level on the first segment whose
+    running fill, in floating point, reaches P. That is the
     smallest such mu except on a flat stretch of the total that the fill
     rounds to just under P: there it is the stretch's upper end, so
     find_water_level([0.4, 5.0, 9.0], 1.0, [1, 1, 1]) gives 5.0, not 1.4,
@@ -45,32 +56,137 @@ def find_water_level(phi, P: float, pmax) -> float:
     return waterfill_powers(phi, P, pmax)[1]
 
 
-# A sweep of at least BLOCK_FLOOR events (N >= 1024 bins) first tries a low
-# block of them: all events up to a level v, tried at the BLOCK_QUANTILES of a
-# stride-BLOCK_STRIDE sample of the events. Measured per sweep on Q = 8
-# jacobi games where 21% and 48% of the events lie below the level (2-vCPU
-# Xeon VM, numpy 2.4.6), the block path took 0.96 and 1.20 of the full
-# sort's time at N = 512, 0.71 and 1.11 at N = 768, and 0.71 and 1.02 at
-# N = 1024.
+def _level(phi, P, pmax) -> float:
+    """The water level of one (N,) row: the opens pass where it holds, else _sweep.
+
+    _levels for one row, spelled without its gather and np.errstate.
+    phi + pmax is the full sweep's own first operation, so a flag it sets is
+    the one the sweep sets first, and a row left to _sweep reuses the sum.
+    Both sorts are of copies: the sweep's tie order, and so the sign of a
+    zero level, follows the order of its events.
+    """
+    closes = np.add(phi, pmax)
+    ends = closes.copy()  # c and the top close: at N = 16 a sort costs less than two reductions
+    ends.sort()
+    b = phi.copy()
+    b.sort()
+    c = ends.item(0)
+    if _opens_first(b.item(0), c, ends.item(-1), P, b.size):
+        mu = _opens_crossing(b, _opens_fill(b), c, P)
+        if mu is not None:
+            return mu
+    return _sweep(np.concatenate((phi, closes)), P)
+
+
+def _levels(phi, P, pmax):
+    """The (B,) water levels of a (B, N) stack: one opens pass over its rows, _sweep for the rest.
+
+    The sort, subtract, multiply and accumulate of the pass run once over
+    the rows _opens_first admits. The crossing, and the sweep of every row
+    the pass leaves, run row by row in row order, so each error and warning
+    comes as the row's own sweep raises it.
+    """
+    n = phi.shape[1]
+    with np.errstate(all="ignore"):  # a row whose sum could set a flag is left to _sweep
+        closes = np.add(phi, pmax)
+    lows = np.minimum.reduce(phi, 1).tolist()
+    cs = np.minimum.reduce(closes, 1).tolist()
+    tops = np.maximum.reduce(closes, 1).tolist()
+    opens = [_opens_first(*row, n) for row in zip(lows, cs, tops, P)]
+    rows = [i for i, open_first in enumerate(opens) if open_first]
+    if rows:
+        b = phi.copy() if len(rows) == len(phi) else phi[rows]
+        b.sort()
+        passed = zip(b, _opens_fill(b))
+    mu = []
+    for i, (open_first, c, P_row) in enumerate(zip(opens, cs, P)):
+        level = _opens_crossing(*next(passed), c, P_row) if open_first else None
+        if level is None:  # finite sums set no flag; others are summed again to set it
+            sums = closes[i] if math.isfinite(tops[i]) else np.add(phi[i], pmax[i])
+            level = _sweep(np.concatenate((phi[i], sums)), P_row)
+        mu.append(level)
+    return np.array(mu)
+
+
+def _opens_first(low, c, top, P, n):
+    """Whether the opens pass may take a row: levels from low on, closes from c to top.
+
+    The lowest close c must be at least low + P/n, a floor of the level: a
+    lower c is a mask that binds, and the crossing would refuse the row. The
+    span of the events, top - low, times 4 n**2 must be finite, so that no
+    array operation of the pass or of the full sweep overflows. Python
+    floats, which set no floating-point flag.
+    """
+    return c >= low + float(P) / n and math.isfinite((top - low) * (4.0 * n * n))
+
+
+def _opens_fill(b):
+    """Fill at each level of b but the first, b sorted along its last axis, all bins below open.
+
+    The slope right of the i-th level is i + 1, and the subtract, multiply
+    and accumulate are _sweep's on a prefix of events that all open bins.
+    """
+    fill = b[..., 1:] - b[..., :-1]
+    fill *= _ranks(b.shape[-1])
+    return np.add.accumulate(fill, axis=-1, out=fill)
+
+
+def _opens_crossing(b, fill, c, P):
+    """The level of one row from its sorted levels b and _opens_fill's fill, or None.
+
+    c is the row's lowest close. The fill first reaches P on the segment
+    from lo = b[k] to nxt = b[k + 1] (+inf past the last level). The level
+    is the full sweep's where the sweep's next event after lo, nxt or a close
+    at c, takes the same branch: no close comes before nxt, or the fill
+    passes P before the first close. Either way c > lo, so every event at or
+    below lo opens a bin: the sweep's sorted prefix, slopes, gaps and running
+    fill are these, and it takes the same step. None leaves the row to _sweep.
+    """
+    k = int(fill.searchsorted(P))
+    lo, rate = b.item(k), k + 1
+    below = fill.item(k - 1) if k else 0.0
+    nxt = b.item(rate) if rate < b.size else math.inf
+    if not (c >= nxt or below + (c - lo) * rate > P):
+        return None
+    at = nxt if rate < b.size and fill.item(k) == P else None
+    if at == 0.0:  # the two sorts may order a -0.0/0.0 tie apart
+        return None
+    return _step(lo, below, float(rate), at, P)
+
+
+@functools.cache
+def _ranks(n):
+    """Read-only slopes 1, 2, ..., n - 1 of the opens pass: the bins open right of each level."""
+    ranks = np.arange(1.0, n)
+    ranks.setflags(write=False)
+    return ranks
+
+
+# A sweep of at least BLOCK_FLOOR events (N >= 1024 bins, in a row that the
+# opens-first pass leaves) first tries a low block of them: all events up to a
+# level v, tried at the BLOCK_QUANTILES of a stride-BLOCK_STRIDE sample of the
+# events. Measured per sweep on Q = 8 jacobi games where 21% and 48% of the
+# events lie below the level (2-vCPU Xeon VM, numpy 2.4.6), the block path took
+# 0.96 and 1.20 of the full sort's time at N = 512, 0.71 and 1.11 at N = 768,
+# and 0.71 and 1.02 at N = 1024.
 BLOCK_FLOOR = 2048
 BLOCK_STRIDE = 16
 BLOCK_QUANTILES = (0.25, 0.5)
 
 
-def _sweep(phi, P, pmax) -> float:
-    """The water level of one row by breakpoint sweep, on float arrays already checked.
+def _sweep(events, P) -> float:
+    """The water level of one row by breakpoint sweep over its events phi, then phi + pmax.
 
-    A wide sweep first probes the fill at a sampled level v, and where it
-    passes P sorts and fills only the block of events <= v. That block sorts
-    to the first events of the full sort and keeps their slopes at the end of
-    every tie group, so the running fill up to a crossing inside the block,
-    and mu, are the full sweep's bit for bit. A crossing not inside the
-    block, and every error, take the full sweep.
+    It serves only the rows the opens-first pass leaves: masks that close
+    below the level, values near the float range, and every error. A wide
+    sweep first probes the fill at a sampled level v, and where it passes P
+    sorts and fills only the block of events <= v. That block sorts to the
+    first events of the full sort and keeps their slopes at the end of every
+    tie group, so the running fill up to a crossing inside the block, and mu,
+    are the full sweep's bit for bit. A crossing not inside the block, and
+    every error, take the full sweep.
     """
-    n = phi.size
-    events = np.empty(2 * n)
-    events[:n] = phi
-    np.add(phi, pmax, out=events[n:])
+    n = events.size // 2
     signs = _signs(n)
     if events.size >= BLOCK_FLOOR:
         sample = np.sort(events[::BLOCK_STRIDE])
@@ -117,13 +233,22 @@ def _crossing(events, signs, P):
     j = int(filled.searchsorted(P))
     if j == filled.size:
         return j, None
-    lo, fill, rate = b.item(j - 1), filled.item(j - 1), slope.item(j - 1)
-    mu = b.item(j) if filled.item(j) == P else lo + (P - fill) / rate
+    at = b.item(j) if filled.item(j) == P else None
+    return j, _step(b.item(j - 1), filled.item(j - 1), slope.item(j - 1), at, P)
+
+
+def _step(lo, fill, rate, at, P):
+    """The level on the segment right of breakpoint lo, where the fill is fill and rises at rate.
+
+    at is the segment's upper breakpoint where the fill meets P exactly
+    there, else None. The level is None where the fill at it misses P.
+    """
+    mu = lo + (P - fill) / rate if at is None else at
     # the fill at mu must meet P; it does not when the step to P rounds away
-    # against a large b[j - 1], or when phi + pmax overflowed
+    # against a large lo, or when phi + pmax overflowed
     if not abs(fill + rate * (mu - lo) - P) <= POWER_SUM_RTOL * P:
-        return j, None
-    return j, float(mu)
+        return None
+    return float(mu)
 
 
 @functools.cache
@@ -166,16 +291,17 @@ def fill_powers(phi, P, pmax):
     """Powers and water levels of waterfilling against fixed levels phi.
 
     phi is one user's (N,) levels with its budget and mask row, or (Q, N)
-    levels with Q budgets and the (Q, N) masks, one sweep per row. P and pmax
-    come from a GameConfig, so phi alone is checked, all of it before any sweep.
+    levels with Q budgets and the (Q, N) masks: one opens-first pass over
+    all rows, then the 2N-event sweep for each row it leaves. P and pmax come
+    from a GameConfig, so phi alone is checked, all of it before any sweep.
     """
     if not np.logical_and.reduce(np.isfinite(phi), None):
         raise DomainError("phi and pmax must be finite")
     if phi.ndim == 1:
-        mu = _sweep(phi, P, pmax)
+        mu = _level(phi, P, pmax)
         powers = np.subtract(mu, phi)
     else:
-        mu = np.array([_sweep(*row) for row in zip(phi, P, pmax)])
+        mu = _levels(phi, P, pmax)
         powers = np.subtract(mu[:, None], phi)
     np.maximum(powers, 0.0, out=powers)
     return np.minimum(powers, pmax, out=powers), mu

@@ -13,6 +13,8 @@ from rategame import (
     InfeasibleError,
     NumericalError,
     PowerProfile,
+    Schedule,
+    SolverOptions,
     UncertaintySpec,
     default_bin_sets,
     default_initial_profile,
@@ -24,9 +26,11 @@ from rategame import (
     random_feasible_profile,
     robust_best_response,
     social_optimum_fdma,
+    solve,
     sum_rate,
     user_rate,
 )
+from rategame import solver, waterfill
 from rategame.core import ALL_USERS, interference_level, worst_case_interference
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config, interior_p
 from rategame.waterfill import best_response_powers, fill_powers, waterfill_powers
@@ -34,14 +38,20 @@ from rategame.waterfill import best_response_powers, fill_powers, waterfill_powe
 from conftest import bisect_water_level, classical_best_response, random_instance
 
 
-def stable_sweep(phi, P, pmax):
-    """Breakpoint sweep with ties kept in index order (a stable sort)."""
+def stable_fill(phi, pmax):
+    """Event order, sorted events, slopes and running fill, ties kept in index order."""
     n = phi.size
     events = np.concatenate((phi, phi + pmax))
     order = np.argsort(events, kind="stable")
     levels = events[order]
     slope = np.cumsum(np.where(order < n, 1.0, -1.0))
     filled = np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(levels))))
+    return order, levels, slope, filled
+
+
+def stable_sweep(phi, P, pmax):
+    """Breakpoint sweep with ties kept in index order."""
+    _, levels, slope, filled = stable_fill(phi, pmax)
     j = int(np.searchsorted(filled, P))
     if filled[j] == P:
         return float(levels[j])
@@ -641,3 +651,186 @@ def test_pinned_wide_fill_bytes():
                 fill_powers(levels[1], 1.0, np.full(1024, mask))
             with pytest.raises(NumericalError, match=re.escape(message)):
                 fill_powers(levels, [1.0, 1.0], np.full((2, 1024), mask))
+
+
+FULL_SWEEP = waterfill._sweep  # the 2N-event sweep, before any test wraps it
+
+
+@pytest.fixture
+def full_sweeps(monkeypatch):
+    """The levels phi of every row that fill_powers leaves to the 2N-event sweep, in call order."""
+    rows = []
+
+    def recorded(events, P):
+        rows.append(events[:events.size // 2].copy())
+        return FULL_SWEEP(events, P)
+
+    monkeypatch.setattr(waterfill, "_sweep", recorded)
+    return rows
+
+
+def opens_cases(rng):
+    """(kind, levels, P, pmax) stacks of B <= 5 rows for the opens pass.
+
+    Ties, zero-mask bins, constant levels (the uniform start), grid sums
+    that meet P on an opening or on a close, P set to the sweep's own fill at
+    the lowest close, crossings past the last opening, overflowing closes
+    (1e308 + 8e307) and levels that span the float range beside rows that
+    fill, and signed zeros.
+    """
+    kinds = ["spread", "tied", "zero_masks", "constant", "grid", "past_last", "meets_close",
+             "overflow", "signed_zeros"]
+    for kind in kinds * 60:
+        B, N = int(rng.integers(1, 6)), int(rng.choice([1, 2, 3, 16, 64, rng.integers(1, 100)]))
+        pmax = rng.uniform(0.5, 3.0, (B, N))
+        share = rng.uniform(0.01, 0.99, B)
+        if kind == "spread":
+            levels = rng.exponential(size=(B, N)) * 10.0 ** rng.uniform(-2, 2, (B, N))
+        elif kind == "tied":
+            levels, pmax = np.round(rng.uniform(0.0, 3.0, (B, N)), 1), np.round(pmax, 1)
+        elif kind == "zero_masks":
+            levels = rng.uniform(0.0, 3.0, (B, N))
+            pmax[rng.random((B, N)) < 0.3] = 0.0
+        elif kind == "constant":
+            levels = np.broadcast_to(-(share[:, None] / N), (B, N))
+        elif kind == "grid":  # exact sums: the fill meets P on a breakpoint
+            levels = rng.integers(0, 8, (B, N)) * 0.125
+            pmax = rng.integers(0, 4, (B, N)) * 0.25
+        elif kind == "past_last":  # every level lies below the water level
+            levels = rng.uniform(0.0, 0.1, (B, N))
+            pmax = rng.uniform(1.0, 2.0, (B, N))
+        elif kind == "overflow":  # rows whose closes overflow or whose levels span the
+            levels = rng.uniform(0.0, 3.0, (B, N))  # float range, among rows that fill
+            huge, wide = (rng.random((2, B)) < 0.3)
+            levels[huge] = 1e308
+            pmax[huge] = 8e307
+            levels[wide, 0], pmax[wide, 0] = -1e308, 1e308
+            levels[wide, -1] = 1e308
+        elif kind == "meets_close":  # P is the sweep's own fill at the lowest close
+            levels, pmax = np.round(rng.uniform(0.0, 1.0, (B, N)), 2), np.round(pmax, 2)
+        else:  # ties of -0.0 with 0.0, and levels that meet P at zero
+            N = int(rng.integers(4, 13))
+            levels = rng.choice([-0.5, -0.25, -0.0, 0.0], (B, N))
+            pmax = rng.choice([0.25, 0.5, 4.0], (B, N))
+        pmax[:, 0] = np.maximum(pmax[:, 0], 0.5)  # room for P below the masks' total
+        with np.errstate(over="ignore"):
+            room = pmax.sum(axis=1)
+        P = share * np.minimum(room, 4.0)
+        if kind in ("grid", "tied"):
+            P = np.maximum(np.floor(4 * P) / 4, 0.25)
+        elif kind == "past_last":  # a level near 0.5, above every level, below every close
+            P = np.full(B, 0.5 * N)
+        elif kind == "signed_zeros":  # the fill at level 0, exact on this grid
+            P = np.minimum(np.maximum(-levels, 0.0), pmax).sum(axis=1)
+            P = np.where((P > 0) & (P < room), P, 0.25)
+        elif kind == "meets_close":
+            fills = [filled[np.flatnonzero(order >= N)[0]]
+                     for order, _, _, filled in map(stable_fill, levels, pmax)]
+            P = np.where(fills < room, fills, P)
+        yield kind, levels, P.tolist(), pmax
+
+
+class TestOpensPass:
+    """A water level from the N sorted levels alone is the 2N-event sweep's, byte for byte."""
+
+    def test_equals_the_full_and_the_stable_sweep(self, full_sweeps):
+        rng = np.random.default_rng(31)
+        seen = {}
+        for kind, levels, P, pmax in opens_cases(rng):
+            counts = seen.setdefault(kind, {"opens": 0, "full": 0, "on_opening": 0,
+                                            "on_close": 0, "past_last": 0, "zero_apart": 0})
+            for errstate in ({"all": "ignore"}, {"all": "raise"}):
+                if kind != "overflow" and errstate["all"] == "raise":
+                    continue
+                with np.errstate(**errstate):
+                    rows, fell = [], []
+                    for row, P_row, mask in zip(levels, P, pmax):
+                        before = len(full_sweeps)
+                        rows.append(outcome(lambda: fill_powers(row, P_row, mask)[1:]))
+                        fell.append(len(full_sweeps) > before)
+                        assert rows[-1] == outcome(
+                            lambda: [FULL_SWEEP(np.concatenate((row, row + mask)), P_row)])
+                    before = len(full_sweeps)
+                    stacked = outcome(lambda: fill_powers(levels, P, pmax)[1:])
+                    failed = [r for r in rows if not isinstance(r, list)]
+                    # the first failing row's error, or every row's level
+                    assert stacked == (failed[0] if failed else [b"".join(r[0] for r in rows)])
+                    if not failed:  # the stack leaves the same rows to the full sweep
+                        assert len(full_sweeps) - before == sum(fell)
+            for row, P_row, mask, out, full in zip(levels, P, pmax, rows, fell):
+                counts["full" if full else "opens"] += 1
+                if not isinstance(out, list):
+                    continue
+                mu = np.frombuffer(out[0])[0]
+                if mu == 0.0 and 0.0 in row:  # a zero level, signed apart from np.sort's first zero
+                    ordered = np.sort(row)
+                    counts["zero_apart"] += bool(
+                        np.signbit(mu) != np.signbit(ordered[ordered.searchsorted(0.0)]))
+                if full:
+                    continue
+                # the opens pass's own level is the stable-order sweep's
+                assert out == [np.float64(stable_sweep(row, P_row, mask)).tobytes()]
+                counts["on_opening"] += bool(np.isin(mu, row))
+                counts["on_close"] += bool(np.isin(mu, row + mask))
+                counts["past_last"] += bool(mu > row.max())
+        assert all(counts["opens"] > 0 for counts in seen.values())
+        # rows with a mask that closes below the level, or an overflowing close
+        assert all(seen[kind]["full"] > 0 for kind in ("zero_masks", "grid", "overflow",
+                                                       "signed_zeros"))
+        assert seen["grid"]["on_opening"] > 0 and seen["grid"]["on_close"] > 0
+        assert seen["past_last"]["past_last"] == seen["past_last"]["opens"] > 0
+        assert seen["signed_zeros"]["zero_apart"] > 0
+
+    @pytest.mark.parametrize("kind, Q, N", [("gauss_seidel", 3, 16), ("jacobi", 16, 1024),
+                                            ("random_async", 8, 64)])
+    def test_unit_mask_games_take_no_full_sweep(self, full_sweeps, monkeypatch, kind, Q, N):
+        # the benchmark's three game shapes, with budgets P <= 1 under unit
+        # masks: no mask can bind, so every row's level comes from the pass
+        monkeypatch.setattr(solver, "_latest", None)
+        schedule = Schedule(kind=kind, seed=5, update_probability=0.5, max_staleness=2)
+        for P, seed in ((1.0, 1), (0.3, 2)):
+            ch = generate_channels(ChannelGenSpec(Q=Q, N=N, cross_variance=0.1, seed=seed))
+            cfg = GameConfig(P=np.full(Q, P), pmax=np.ones((Q, N)), eps=np.full(Q, 0.05))
+            start = default_initial_profile(ch, cfg)
+            solve(ch, cfg, start, schedule, SolverOptions(tol=1e-8, max_iters=60))
+        assert full_sweeps == []
+
+    @pytest.mark.parametrize("bin_rank", ["lowest", "median"])
+    def test_a_zero_mask_below_the_level_takes_the_full_sweep(self, full_sweeps, monkeypatch,
+                                                               bin_rank):
+        # a bin below the water level with a zero mask closes there, so the
+        # opens pass must leave its row to the full sweep. The lowest bin's
+        # close lies below min(phi) + P/N, so such a row goes there before
+        # the pass sorts it; the median bin's close is left to the crossing
+        crossings = []
+
+        def recorded(*args):
+            crossings.append(original(*args))
+            return crossings[-1]
+
+        original = waterfill._opens_crossing
+        monkeypatch.setattr(waterfill, "_opens_crossing", recorded)
+        rng = np.random.default_rng(32)
+        rows = 0
+        for _ in range(100):
+            B, N = int(rng.integers(1, 5)), int(rng.integers(3, 80))
+            levels = rng.normal(size=(B, N))
+            pmax = rng.uniform(0.5, 2.0, (B, N))
+            pmax[rng.random((B, N)) < 0.2] = 0.0
+            ranked = levels.argsort(axis=1)
+            pmax[np.arange(B), ranked[:, -1]] = 1.0  # room for P
+            closed = ranked[:, 0 if bin_rank == "lowest" else N // 2]
+            pmax[np.arange(B), closed] = 0.0
+            P = (0.9 * pmax.sum(axis=1)).tolist()
+            before = len(full_sweeps)
+            mu = fill_powers(levels, P, pmax)[1]
+            if not (levels[np.arange(B), closed] < mu).all():
+                continue  # the closed bin must lie below the level
+            rows += B
+            assert len(full_sweeps) - before == B
+            for row, P_row, mask, level in zip(levels, P, pmax, mu):
+                assert fill_powers(row, P_row, mask)[1] == level
+            assert len(full_sweeps) - before == 2 * B
+        assert rows > 100
+        assert all(level is None for level in crossings)
+        assert (crossings == []) == (bin_rank == "lowest")
