@@ -63,7 +63,9 @@ def _level(phi, P, pmax) -> float:
     phi + pmax is the full sweep's own first operation, so a flag it sets is
     the one the sweep sets first, and a row left to _sweep reuses the sum.
     Both sorts are of copies: the sweep's tie order, and so the sign of a
-    zero level, follows the order of its events.
+    zero level, follows the order of its events. The pre-check reads min(phi)
+    from the sorted levels, so a row whose mask binds pays both sorts before
+    its sweep: a reduction ahead of them would cost every N = 16 row more.
     """
     closes = np.add(phi, pmax)
     ends = closes.copy()  # c and the top close: at N = 16 a sort costs less than two reductions
@@ -162,46 +164,13 @@ def _ranks(n):
     return ranks
 
 
-# A sweep of at least BLOCK_FLOOR events (N >= 1024 bins, in a row that the
-# opens-first pass leaves) first tries a low block of them: all events up to a
-# level v, tried at the BLOCK_QUANTILES of a stride-BLOCK_STRIDE sample of the
-# events. Measured per sweep on Q = 8 jacobi games where 21% and 48% of the
-# events lie below the level (2-vCPU Xeon VM, numpy 2.4.6), the block path took
-# 0.96 and 1.20 of the full sort's time at N = 512, 0.71 and 1.11 at N = 768,
-# and 0.71 and 1.02 at N = 1024.
-BLOCK_FLOOR = 2048
-BLOCK_STRIDE = 16
-BLOCK_QUANTILES = (0.25, 0.5)
-
-
 def _sweep(events, P) -> float:
     """The water level of one row by breakpoint sweep over its events phi, then phi + pmax.
 
     It serves only the rows the opens-first pass leaves: masks that close
-    below the level, values near the float range, and every error. A wide
-    sweep first probes the fill at a sampled level v, and where it passes P
-    sorts and fills only the block of events <= v. That block sorts to the
-    first events of the full sort and keeps their slopes at the end of every
-    tie group, so the running fill up to a crossing inside the block, and mu,
-    are the full sweep's bit for bit. A crossing not inside the block, and
-    every error, take the full sweep.
+    below the level, values near the float range, and every error.
     """
-    n = events.size // 2
-    signs = _signs(n)
-    if events.size >= BLOCK_FLOOR:
-        sample = np.sort(events[::BLOCK_STRIDE])
-        for q in BLOCK_QUANTILES:
-            v = sample[int(q * sample.size)]
-            # the fill at v, bin by bin min(v, phi + pmax) - min(v, phi): a
-            # difference of at most pmax, so no term overflows
-            low = np.minimum(events, v)
-            if np.subtract(low[n:], low[:n], out=low[n:]).sum() > P:
-                below = (events <= v).nonzero()[0]
-                mu = _crossing(events[below], signs[below], P)[1]
-                if mu is not None:
-                    return mu
-                break
-    j, mu = _crossing(events, signs, P)
+    j, mu = _crossing(events, _signs(events.size // 2), P)
     if mu is None:
         if j == events.size:  # rounding kept the fill below P
             raise NumericalError("phi dwarfs the masks: the fill cannot reach P in floating point")

@@ -582,7 +582,7 @@ def test_pinned_fill_bytes():
 
 
 def wide_fill_cases(rng):
-    """(levels, P, pmax) stacks of N = 1024..2500 bins, wide enough for the block sweep.
+    """(levels, P, pmax) stacks of N = 1024..2500 bins, for wide sweeps.
 
     Two jacobi game families' first rounds, then rows whose sweeps meet ties,
     zero masks, constant and negative levels and crossings near the top of
@@ -603,7 +603,7 @@ def wide_fill_cases(rng):
         pmax = rng.uniform(0.0, 3.0, (Q, N))
         pmax[rng.random((Q, N)) < 0.3] = 0.0
         share = 10.0 ** rng.uniform(-3.0, np.log10(0.95), Q)
-        share[rng.random(Q) < 0.3] = 0.999  # the crossing lies above any low block
+        share[rng.random(Q) < 0.3] = 0.999  # the crossing lies near the top of the events
         if kind == "tied":  # levels and bin ends on a coarse grid
             pmax = np.round(pmax, 1)
         elif kind == "grid":
