@@ -6,8 +6,9 @@ frequency bin k, divided by link q's direct gain) and noise as sigma2[q, k],
 the receiver noise normalized the same way. The diagonal F[q, q, :] is zero
 by convention. Rates are natural-log (nats).
 
-All types are immutable after construction and validated at construction;
-operations are pure functions and may assume valid inputs.
+All types are immutable after construction and validated at construction.
+Operations may assume valid inputs and are pure functions, except
+solver.solve, which keeps its latest result.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ probability u per round against neighbor state of bounded age).
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,7 +143,7 @@ def _same_bytes(a, b):
 
 
 def _latest_result(ch, cfg, initial, schedule, opts):
-    """A copy of the latest result if its solve had these inputs byte for byte, else None."""
+    """The latest result if its solve had these inputs byte for byte, else None."""
     if _latest is None:
         return None
     last_schedule, last_opts, arrays, ch_ref, result = _latest
@@ -154,7 +154,7 @@ def _latest_result(ch, cfg, initial, schedule, opts):
     last_ch = ch_ref()
     if last_ch is None or not _same_bytes(last_ch.F, ch.F):
         return None
-    return replace(result, mu=result.mu.copy())
+    return result
 
 
 def solve(
@@ -197,9 +197,9 @@ def solve(
     result and runs no round: at delta 0 a Monte-Carlo trial's robust and
     nominal games are its perfect game byte for byte. Inputs are equal when
     schedule and opts are equal and eps, P, sigma2, pmax, initial.p and F
-    have the same shapes and bytes (so -0.0 is not 0.0). The returned
-    profile is shared, being read-only; mu is a fresh copy. Only one result
-    is kept, and ch only by weak reference, so it keeps no channels alive.
+    have the same shapes and bytes (so -0.0 is not 0.0). A result's arrays
+    are read-only, so a hit returns the stored result itself. Only one
+    result is kept, and ch only by weak reference, so it keeps no channels alive.
     """
     global _latest
     check_dims(ch, cfg, initial)
@@ -256,6 +256,10 @@ def solve(
 
     if not converged:
         residual, mus = _residual(ch, cfg, p)
+    mus.setflags(write=False)
+    if trajectory is not None:
+        trajectory = np.asarray(trajectory)
+        trajectory.setflags(write=False)
 
     result = EquilibriumResult(
         profile=PowerProfile(p),
@@ -263,11 +267,11 @@ def solve(
         iterations=rnd if converged else opts.max_iters,
         residual=residual,
         converged=converged,
-        trajectory=np.asarray(trajectory) if trajectory is not None else None,
+        trajectory=trajectory,
     )
     if trajectory is None:
         _latest = (schedule, opts, (cfg.eps, cfg.P, ch.sigma2, cfg.pmax, initial.p),
-                   weakref.ref(ch), replace(result, mu=mus.copy()))
+                   weakref.ref(ch), result)
     return result
 
 

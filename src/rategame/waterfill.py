@@ -47,11 +47,10 @@ def find_water_level(phi, P: float, pmax) -> float:
     breakpoints at phi(k) and phi(k) + pmax(k); the crossing segment is found
     by a breakpoint sweep, over the levels alone where no mask closes below
     it, and solved linearly. Returns the level on the first segment whose
-    running fill, in floating point, reaches P. That is the
-    smallest such mu except on a flat stretch of the total that the fill
-    rounds to just under P: there it is the stretch's upper end, so
-    find_water_level([0.4, 5.0, 9.0], 1.0, [1, 1, 1]) gives 5.0, not 1.4,
-    with the same powers (an open FOUND line in ROADMAP.md).
+    running fill, in floating point, reaches P. That is the smallest such
+    mu except on a flat stretch of the total that the fill rounds to just
+    under P: there it is the stretch's upper end, whose powers are the same,
+    so find_water_level([0.4, 5.0, 9.0], 1.0, [1, 1, 1]) gives 5.0, not 1.4.
     """
     return waterfill_powers(phi, P, pmax)[1]
 
@@ -168,29 +167,15 @@ def _sweep(events, P) -> float:
     """The water level of one row by breakpoint sweep over its events phi, then phi + pmax.
 
     It serves only the rows the opens-first pass leaves: masks that close
-    below the level, values near the float range, and every error.
-    """
-    j, mu = _crossing(events, _signs(events.size // 2), P)
-    if mu is None:
-        if j == events.size:  # rounding kept the fill below P
-            raise NumericalError("phi dwarfs the masks: the fill cannot reach P in floating point")
-        raise NumericalError("phi + pmax overflows or dwarfs P: the water level misses P")
-    return mu
-
-
-def _crossing(events, signs, P):
-    """Index of the first sorted event whose fill reaches P, and the level on its segment.
-
-    events are the sweep's breakpoints, overwritten here, and signs their
-    slope steps. The level is None where no event's fill reaches P (the
-    index is then events.size) or where the fill at the level misses P.
+    below the level, values near the float range, and every error. The
+    events are overwritten.
     """
     # Tied events add an exact +-0.0 to the fill, and the crossing j - 1 ends
     # its tie group, whose slope counts the whole group: no order among ties
     # can change mu.
     order = events.argsort()
     b = events[order]
-    slope = signs[order]
+    slope = _signs(events.size // 2)[order]
     np.add.accumulate(slope, out=slope)  # slope right of each breakpoint
     filled = events  # the sorted copy b holds the events from here on
     filled[0] = 0.0
@@ -200,10 +185,13 @@ def _crossing(events, signs, P):
     np.add.accumulate(gaps, out=gaps)
 
     j = int(filled.searchsorted(P))
-    if j == filled.size:
-        return j, None
+    if j == filled.size:  # rounding kept the fill below P
+        raise NumericalError("phi dwarfs the masks: the fill cannot reach P in floating point")
     at = b.item(j) if filled.item(j) == P else None
-    return j, _step(b.item(j - 1), filled.item(j - 1), slope.item(j - 1), at, P)
+    mu = _step(b.item(j - 1), filled.item(j - 1), slope.item(j - 1), at, P)
+    if mu is None:
+        raise NumericalError("phi + pmax overflows or dwarfs P: the water level misses P")
+    return mu
 
 
 def _step(lo, fill, rate, at, P):

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's breakpoint water-level
 search: water levels come from interval bisection and the classical
 iterative waterfiller is a self-contained gauss-seidel loop, so agreement
-checks compare two genuinely different code paths.
+checks compare two genuinely different code paths. A user's adversarial
+channel is built from the closed-form worst case in the uncertainty ball,
+not from the package's interference level.
 """
 
 import numpy as np
@@ -32,6 +34,25 @@ def classical_best_response(F, sigma2, p, q, P_q, pmax_q):
     phi = sigma2[q] + np.einsum("rk,rk->k", F[:, q, :], p)
     mu = bisect_water_level(phi, P_q, pmax_q)
     return np.clip(mu - phi, 0.0, pmax_q)
+
+
+def adversarial_channels(F, p, q, eps_q):
+    """User q's worst-case channel in its uncertainty ball: F + Delta*_q.
+
+    The ball is per bin, on the cross vector (F[r, q, k])_{r != q}, with
+    radius eps_q. The perturbation that minimises q's rate points along the
+    other users' powers, Delta*_q(k) = eps_q p_{-q}(k) / ||p_{-q}(k)||, and
+    is 0 on bins where the others are silent. It only raises gains, so the
+    result is a valid channel.
+    """
+    others = np.arange(len(F)) != q
+    p_others = p[others]
+    norm = np.sqrt((p_others * p_others).sum(axis=0))
+    delta = np.zeros_like(p_others)
+    np.divide(eps_q * p_others, norm, out=delta, where=norm > 0)
+    adversarial = np.array(F, dtype=float)
+    adversarial[others, q, :] += delta
+    return adversarial
 
 
 def classical_iwf(F, sigma2, P, pmax, tol=1e-13, max_rounds=20000):
@@ -68,6 +89,12 @@ def random_instance(rng, Q, N, strength=0.8, eps=0.0, sigma_lo=0.1, sigma_hi=2.0
         eps=np.full(Q, float(eps)),
     )
     return ch, cfg
+
+
+@pytest.fixture(autouse=True)
+def empty_latest_result(monkeypatch):
+    """solve's latest-result slot is empty when a test starts, and restored after it."""
+    monkeypatch.setattr(solver, "_latest", None)
 
 
 @pytest.fixture

@@ -314,7 +314,6 @@ class TestSweep:
             return original(*args)
 
         monkeypatch.setattr(solver, "_round_views", counted)
-        monkeypatch.setattr(solver, "_latest", None)
         calls = self._count_calls(monkeypatch)
         run_single_trial(self.C11_GEN, self.C11_WIDTHS[width], default_game_config(3, 16),
                          self.SCHEDULE, self.OPTS, 1)

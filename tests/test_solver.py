@@ -295,7 +295,6 @@ class TestLatestResult:
             return original(*args)
 
         monkeypatch.setattr(solver, "_round_views", counted)
-        monkeypatch.setattr(solver, "_latest", None)
         return calls
 
     @staticmethod
@@ -304,7 +303,7 @@ class TestLatestResult:
         cfg = GameConfig(P=np.ones(3), pmax=np.ones((3, 4)), eps=np.full(3, 0.05))
         return ch, cfg, default_initial_profile(ch, cfg)
 
-    def test_hit_returns_the_latest_result(self, rounds):
+    def test_hit_returns_the_latest_result(self, rounds, monkeypatch):
         ch, cfg, initial = self.game()
         first = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
         ran = rounds[0]
@@ -314,9 +313,11 @@ class TestLatestResult:
                       PowerProfile(initial.p), Schedule(kind="gauss_seidel"),
                       SolverOptions(tol=1e-8, max_iters=1000))
         assert rounds[0] == ran
-        assert_same_result(again, first)
-        assert again is not first and again.profile is first.profile
-        assert again.mu is not first.mu and again.trajectory is None
+        assert again is first and again.trajectory is None
+        # and the shared result is the one a solve from an empty slot gives
+        monkeypatch.setattr(solver, "_latest", None)
+        assert_same_result(solve(ch, cfg, initial, self.SCHEDULE, self.OPTS), first)
+        assert rounds[0] == 2 * ran
 
     @pytest.mark.parametrize("change", [
         lambda ch, cfg, p, s, o: (ChannelSet(F=nudged(ch.F, (1, 0, 2)), sigma2=ch.sigma2),
@@ -349,10 +350,12 @@ class TestLatestResult:
         ch, cfg, initial = self.game()
         first = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
         mu = first.mu.tobytes()
-        first.mu[:] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            first.mu[:] = 7.0
         hit = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
         assert hit.mu.tobytes() == mu
-        hit.mu[:] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            hit.mu[:] = 9.0
         assert solve(ch, cfg, initial, self.SCHEDULE, self.OPTS).mu.tobytes() == mu
 
     def test_trajectory_solves_bypass_the_slot(self, rounds):
@@ -368,6 +371,15 @@ class TestLatestResult:
         # and the plain result is not returned to a solve that records
         solve(ch, cfg, initial, self.SCHEDULE, recorded)
         assert rounds[0] == 4 * ran
+
+    def test_recorded_trajectory_is_read_only(self):
+        # a result is shared, not copied, so none of its arrays can be written
+        ch, cfg, initial = self.game()
+        recorded = SolverOptions(tol=1e-8, max_iters=1000, record_trajectory=True)
+        result = solve(ch, cfg, initial, self.SCHEDULE, recorded)
+        for arr in (result.profile.p, result.mu, result.trajectory):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7.0
 
     def test_raising_solve_stores_nothing(self, rounds, monkeypatch):
         ch, cfg, initial = self.game()
@@ -414,7 +426,6 @@ class TestLatestResult:
         games = [self.game()]
         ch, cfg, initial = games[0]
         games.append((ch, replace(cfg, eps=np.zeros(3)), initial))
-        solver._latest = None
         expected = [solve(*game, self.SCHEDULE, self.OPTS).profile.p.tobytes() for game in games]
         wrong = []
 

@@ -35,7 +35,8 @@ from rategame.core import ALL_USERS, interference_level, worst_case_interference
 from rategame.twouser import AntiSymSystem, antisym_channels, antisym_config, interior_p
 from rategame.waterfill import best_response_powers, fill_powers, waterfill_powers
 
-from conftest import bisect_water_level, classical_best_response, random_instance
+from conftest import (adversarial_channels, bisect_water_level, classical_best_response,
+                      random_instance)
 
 
 def stable_fill(phi, pmax):
@@ -292,6 +293,104 @@ class TestRobustBestResponse:
                 norms = np.sqrt((others[1:] ** 2).sum(axis=0))
                 k = int(np.argmax(norms))
                 assert powers[0.2][k] <= powers[0.0][k] + 1e-12
+
+
+def masked_game(rng, Q, N, eps_kind, strength=0.8, bound=0.5):
+    """A random game with masks that shut some bins, and eps zero, uniform or mixed.
+
+    Uniform gives every user eps = bound; mixed draws eps up to bound and
+    zeroes half of them, so zero bounds sit beside positive ones. A bin
+    whose mask is zero for every other user leaves them all silent there.
+    """
+    ch, _ = random_instance(rng, Q, N, strength=strength)
+    pmax = rng.uniform(0.3, 1.0, (Q, N))
+    pmax[rng.random((Q, N)) < 0.3] = 0.0
+    pmax[:, 0] = 1.0  # room for P
+    eps = {"zero": np.zeros(Q), "uniform": np.full(Q, bound),
+           "mixed": rng.uniform(0.1 * bound, bound, Q)}[eps_kind]
+    if eps_kind == "mixed":
+        eps[rng.permutation(Q)[:Q // 2]] = 0.0
+    return ch, GameConfig(P=0.5 * pmax.sum(axis=1), pmax=pmax, eps=eps)
+
+
+class TestAdversarialChannel:
+    """The robust best response is the classical one on the channel the adversary picks.
+
+    conftest's adversarial_channels builds user q's worst case in its ball,
+    F + Delta*_q. Tolerances, fixed from the arithmetic before any seed was
+    run: bisection's 200 halvings resolve a water level to its last bit,
+    and the two spellings of the worst-case level, sigma2 + F p + eps ||p||
+    and sigma2 + (F + Delta*) p, differ by a few ulps. Levels here stay
+    below 5, whose ulp is 8.9e-16, so powers and relative rates agree within
+    1e-12, a thousand ulps.
+    """
+
+    POWER_ATOL = 1e-12
+    RATE_RTOL = 1e-12
+
+    @pytest.mark.parametrize("eps", ["zero", "uniform", "mixed"])
+    def test_worst_case_is_attained_and_best_responded_classically(self, rng, eps):
+        silent = moved = 0
+        for _ in range(40):
+            Q, N = int(rng.integers(2, 7)), int(rng.integers(3, 13))
+            ch, cfg = masked_game(rng, Q, N, eps)
+            prof = random_feasible_profile(cfg, rng)
+            for q in range(Q):
+                F = adversarial_channels(ch.F, prof.p, q, cfg.eps[q])
+                adversary = ChannelSet(F=F, sigma2=ch.sigma2)
+                others = np.delete(prof.p, q, axis=0)
+                silent += int((others.sum(axis=0) == 0).sum())
+                moved += int((F != ch.F).any())
+                # attainment: the nominal rate on F + Delta*_q is the worst-case rate
+                worst = user_rate(ch, prof, q, eps_override=float(cfg.eps[q]))
+                assert user_rate(adversary, prof, q) == pytest.approx(worst, rel=self.RATE_RTOL)
+                # the saddle: the robust response is the classical one on F + Delta*_q
+                powers, _ = robust_best_response(ch, cfg, prof, q)
+                classical = classical_best_response(F, ch.sigma2, prof.p, q, cfg.P[q],
+                                                    cfg.pmax[q])
+                np.testing.assert_allclose(powers, classical, rtol=0, atol=self.POWER_ATOL)
+        assert silent > 0
+        assert (moved > 0) == (eps != "zero")
+
+    @pytest.mark.parametrize("eps", ["zero", "uniform", "mixed"])
+    def test_no_point_of_the_ball_rates_below_the_worst_case(self, rng, eps):
+        for _ in range(30):
+            Q, N = int(rng.integers(2, 7)), int(rng.integers(3, 13))
+            ch, cfg = masked_game(rng, Q, N, eps)
+            prof = random_feasible_profile(cfg, rng)
+            for q in range(Q):
+                worst = user_rate(ch, prof, q, eps_override=float(cfg.eps[q]))
+                others = np.arange(Q) != q
+                for _ in range(20):
+                    # a uniform point of each bin's ball of radius eps_q on the
+                    # cross vector; clipping at 0 only shrinks the perturbation
+                    d = rng.normal(size=(Q - 1, N))
+                    d *= cfg.eps[q] * rng.random(N) ** (1 / (Q - 1)) / np.linalg.norm(d, axis=0)
+                    F = ch.F.copy()
+                    F[others, q, :] = np.maximum(F[others, q, :] + d, 0.0)
+                    rate = user_rate(ChannelSet(F=F, sigma2=ch.sigma2), prof, q)
+                    assert rate >= worst - self.RATE_RTOL * worst
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gauss_seidel", "random_async"])
+    def test_equilibrium_is_classical_on_its_adversarial_channels(self, rng, kind):
+        # a converged solve has p within 10 tol of its robust response, which
+        # is the classical one on F + Delta*_q within POWER_ATOL
+        opts = SolverOptions(tol=1e-9, max_iters=5000)
+        schedule = Schedule(kind=kind, seed=3, update_probability=0.5, max_staleness=2)
+        for eps in ("zero", "uniform", "mixed"):
+            for _ in range(4):
+                # random_instance's contraction modulus is at most 0.4 + 0.5 < 1
+                Q, N = int(rng.integers(2, 5)), int(rng.integers(3, 10))
+                ch, cfg = masked_game(rng, Q, N, eps, strength=0.4, bound=0.5 / (Q - 1))
+                result = solve(ch, cfg, default_initial_profile(ch, cfg), schedule, opts)
+                assert result.converged
+                p = result.profile.p
+                for q in range(Q):
+                    F = adversarial_channels(ch.F, p, q, cfg.eps[q])
+                    classical = classical_best_response(F, ch.sigma2, p, q, cfg.P[q],
+                                                        cfg.pmax[q])
+                    np.testing.assert_allclose(p[q], classical, rtol=0,
+                                               atol=10 * opts.tol + self.POWER_ATOL)
 
 
 def outcome(call):
@@ -783,10 +882,9 @@ class TestOpensPass:
 
     @pytest.mark.parametrize("kind, Q, N", [("gauss_seidel", 3, 16), ("jacobi", 16, 1024),
                                             ("random_async", 8, 64)])
-    def test_unit_mask_games_take_no_full_sweep(self, full_sweeps, monkeypatch, kind, Q, N):
+    def test_unit_mask_games_take_no_full_sweep(self, full_sweeps, kind, Q, N):
         # the benchmark's three game shapes, with budgets P <= 1 under unit
         # masks: no mask can bind, so every row's level comes from the pass
-        monkeypatch.setattr(solver, "_latest", None)
         schedule = Schedule(kind=kind, seed=5, update_probability=0.5, max_staleness=2)
         for P, seed in ((1.0, 1), (0.3, 2)):
             ch = generate_channels(ChannelGenSpec(Q=Q, N=N, cross_variance=0.1, seed=seed))
