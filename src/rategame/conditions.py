@@ -69,7 +69,7 @@ def default_bin_sets(ch: ChannelSet, cfg: GameConfig) -> np.ndarray:
     build_Smax for the most conservative condition check.
     """
     check_dims(ch, cfg)
-    return fill_powers(ch.sigma2, cfg.P, cfg.pmax)[0] > 0.0
+    return fill_powers(ch.sigma2, cfg.P.tolist(), cfg.pmax)[0] > 0.0
 
 
 def full_bin_sets(ch: ChannelSet) -> np.ndarray:

@@ -264,8 +264,9 @@ def interference_level(F, sigma2, eps, p, q) -> np.ndarray:
     users, with eps their (B,) bounds and p a (B, Q, N) stack of power
     matrices, for the (B, N) levels of user q[b] against p[b]. Every row
     equals that user's own call byte for byte. The robust term is formed
-    only for rows with eps_q > 0. The solver, the condition checks and the
-    rate functions all compute Phi here.
+    only for rows with eps_q > 0: on the arrays as given when every row has
+    one, else on a gather of those rows. The solver, the condition checks
+    and the rate functions all compute Phi here.
     """
     if p.ndim == 3:
         # F's columns q, gathered into a buffer one column wider so that, like
@@ -277,23 +278,28 @@ def interference_level(F, sigma2, eps, p, q) -> np.ndarray:
         cross = F[:, q, :]
     phi = np.einsum("r...k,...rk->...k", cross, p)
     phi += sigma2[q]
+    rows = own = q
     if phi.ndim == 1:
         if not eps > 0:
             return phi
-        rows = own = q
     else:
-        rows = np.flatnonzero(eps > 0)
-        if not rows.size:
+        robust = (eps > 0).nonzero()[0]
+        if not robust.size:
             return phi
-        eps = eps[rows, None]
-        own = rows
+        if robust.size == len(eps):
+            eps = eps[:, None]
+        else:  # leave the eps-0 rows out: inf - inf would give them nan
+            rows = own = robust
+            eps = eps[rows, None]
+            if p.ndim == 3:
+                p, q = p[rows], q[rows]
         if p.ndim == 3:  # row b squares only its own view, p[b], at its user q[b]
-            p = p[rows]
-            own = (np.arange(rows.size), q[rows])
+            own = (np.arange(len(p)), q)
     squares = p * p
     sq = squares[own]
+    # a sum of nonnegative squares rounds to at least each of its terms, so
+    # the difference is never below +0.0
     np.subtract(np.add.reduce(squares, -2), sq, out=sq)
-    np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
     sq *= eps
     if rows is q:

@@ -168,7 +168,7 @@ def _fdma_profile(ch, cfg, owner):
         if cfg.P[q] >= cap:  # also no bins, or a mask total of 0: the user stays silent
             p[q, bins] = cfg.pmax[q, bins]
         else:
-            p[q, bins] = fill_powers(ch.sigma2[q, bins], cfg.P[q], cfg.pmax[q, bins])[0]
+            p[q, bins] = fill_powers(ch.sigma2[q, bins], cfg.P[q].item(), cfg.pmax[q, bins])[0]
     return p
 
 

@@ -92,7 +92,7 @@ def default_initial_profile(ch: ChannelSet, cfg: GameConfig) -> PowerProfile:
     """Uniform P_q/N allocation, projected per user to respect the masks."""
     check_dims(ch, cfg)
     levels = np.broadcast_to(-(cfg.P[:, None] / cfg.N), (cfg.Q, cfg.N))
-    return PowerProfile(fill_powers(levels, cfg.P, cfg.pmax)[0])
+    return PowerProfile(fill_powers(levels, cfg.P.tolist(), cfg.pmax)[0])
 
 
 def _residual(ch, cfg, p):
@@ -110,8 +110,10 @@ def fixed_point_residual(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile)
 def _round_views(schedule, p, ring, slot, rnd, rng):
     """(users, view) pairs of one round: who updates, and against which powers.
 
-    ring[slot] holds this round's start profile, ring[(slot - a) % len(ring)]
-    that of a rounds before. jacobi updates all users at once against
+    ring[slot] holds this round's start profile, ring[slot - a] that of a
+    rounds before: the ring holds at least the min(rnd, max_staleness + 1)
+    latest rounds, so a negative slot - a wraps to the right one as
+    (slot - a) % len(ring) would. jacobi updates all users at once against
     ring[slot]. gauss_seidel updates user by user against the live p and
     draws nothing. random_async draws who updates, then in one call an age in
     0..min(rnd, max_staleness + 1)-1 for every other user of each updating
@@ -124,12 +126,12 @@ def _round_views(schedule, p, ring, slot, rnd, rng):
         return ((ALL_USERS, ring[slot]),)
     if schedule.kind == "gauss_seidel":
         return ((q, p) for q in range(Q))
-    qs = np.flatnonzero(rng.random(Q) < schedule.update_probability)
+    qs = (rng.random(Q) < schedule.update_probability).nonzero()[0]
     users = np.arange(Q)
     ages = np.zeros((len(qs), Q), dtype=np.intp)  # a user knows its own latest powers
     bound = min(rnd, schedule.max_staleness + 1)
     ages[users != qs[:, None]] = rng.integers(0, bound, (len(qs), Q - 1)).ravel()
-    return ((qs, ring[(slot - ages) % len(ring), users]),) if len(qs) else ()
+    return ((qs, ring[slot - ages, users]),) if len(qs) else ()
 
 
 # the inputs and result of the latest solve that recorded no trajectory; see
@@ -235,7 +237,7 @@ def solve(
         for q, view in _round_views(schedule, p, ring, slot, rnd, rng):
             p[q] = best_response_powers(F, sigma2, eps[q], view, q, P[q], pmax[q])[0]
 
-        delta = float(np.abs(p - ring[slot]).max())
+        delta = float(np.maximum.reduce(np.abs(p - ring[slot]), None))
         if trajectory is not None:
             trajectory.append(p.copy())
         if delta < opts.tol:

@@ -58,7 +58,9 @@ def find_water_level(phi, P: float, pmax) -> float:
 def _level(phi, P, pmax) -> float:
     """The water level of one (N,) row: the opens pass where it holds, else _sweep.
 
-    _levels for one row, spelled without its gather and np.errstate.
+    _levels for one row, spelled without its gather and np.errstate. The
+    levels are sorted first, so that their ends refuse a non-finite phi
+    before phi + pmax can set a flag on another bin.
     phi + pmax is the full sweep's own first operation, so a flag it sets is
     the one the sweep sets first, and a row left to _sweep reuses the sum.
     Both sorts are of copies: the sweep's tie order, and so the sign of a
@@ -66,13 +68,16 @@ def _level(phi, P, pmax) -> float:
     from the sorted levels, so a row whose mask binds pays both sorts before
     its sweep: a reduction ahead of them would cost every N = 16 row more.
     """
+    b = phi.copy()
+    b.sort()
+    low = b.item(0)
+    if not (-math.inf < low and b.item(-1) < math.inf):  # nan sorts last and fails too
+        raise DomainError("phi and pmax must be finite")
     closes = np.add(phi, pmax)
     ends = closes.copy()  # c and the top close: at N = 16 a sort costs less than two reductions
     ends.sort()
-    b = phi.copy()
-    b.sort()
     c = ends.item(0)
-    if _opens_first(b.item(0), c, ends.item(-1), P, b.size):
+    if _opens_first(low, c, ends.item(-1), P, b.size):
         mu = _opens_crossing(b, _opens_fill(b), c, P)
         if mu is not None:
             return mu
@@ -85,7 +90,8 @@ def _levels(phi, P, pmax):
     The sort, subtract, multiply and accumulate of the pass run once over
     the rows _opens_first admits. The crossing, and the sweep of every row
     the pass leaves, run row by row in row order, so each error and warning
-    comes as the row's own sweep raises it.
+    comes as the row's own sweep raises it. A non-finite phi is refused
+    before any of them.
     """
     n = phi.shape[1]
     with np.errstate(all="ignore"):  # a row whose sum could set a flag is left to _sweep
@@ -93,6 +99,10 @@ def _levels(phi, P, pmax):
     lows = np.minimum.reduce(phi, 1).tolist()
     cs = np.minimum.reduce(closes, 1).tolist()
     tops = np.maximum.reduce(closes, 1).tolist()
+    # nan runs through both reductions; -inf is a row's low, +inf its top
+    if not (math.isfinite(sum(lows)) and math.isfinite(sum(tops))):
+        if not np.logical_and.reduce(np.isfinite(phi), None):
+            raise DomainError("phi and pmax must be finite")
     opens = [_opens_first(*row, n) for row in zip(lows, cs, tops, P)]
     rows = [i for i, open_first in enumerate(opens) if open_first]
     if rows:
@@ -250,10 +260,10 @@ def fill_powers(phi, P, pmax):
     phi is one user's (N,) levels with its budget and mask row, or (Q, N)
     levels with Q budgets and the (Q, N) masks: one opens-first pass over
     all rows, then the 2N-event sweep for each row it leaves. P and pmax come
-    from a GameConfig, so phi alone is checked, all of it before any sweep.
+    from a GameConfig, so phi alone is checked, all of it before any sweep:
+    a row from its sorted ends, a stack from the row minima of phi and maxima
+    of phi + pmax, with a full scan only where one of those is not finite.
     """
-    if not np.logical_and.reduce(np.isfinite(phi), None):
-        raise DomainError("phi and pmax must be finite")
     if phi.ndim == 1:
         mu = _level(phi, P, pmax)
         powers = np.subtract(mu, phi)
@@ -306,7 +316,7 @@ def random_feasible_profile(cfg: GameConfig, rng) -> PowerProfile:
     Gaussian draws centered on the uniform allocation, projected per user.
     """
     v = cfg.P[:, None] / cfg.N + rng.normal(0.0, cfg.P[:, None], (cfg.Q, cfg.N))
-    return PowerProfile(fill_powers(-v, cfg.P, cfg.pmax)[0])
+    return PowerProfile(fill_powers(-v, cfg.P.tolist(), cfg.pmax)[0])
 
 
 def _greedy_linear_max(coeff, P: float, pmax):

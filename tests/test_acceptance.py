@@ -54,7 +54,7 @@ from rategame.experiment import (
 )
 from rategame.twouser import AntiSymSystem, RegimeError, reconstruct_powers
 
-from conftest import classical_iwf, random_instance
+from conftest import adversarial_channels, classical_best_response, classical_iwf, random_instance
 
 
 def report(name, ok, detail=""):
@@ -580,6 +580,48 @@ def test_c13_fdma_and_rate_floor(c11_sweep):
         fdma_ok and floor_ok,
         f"(robust FDMA {robust_fdma} of {trials}, nominal FDMA {nominal_fdma}; "
         f"least rate-floor slack {least_slack:.2g}; {time.time() - start:.0f}s)",
+    )
+
+
+@pytest.mark.slow
+def test_c11_robust_equilibria_are_classical_on_their_adversarial_channels(c11_sweep):
+    """The robust counterpart checked from outside, on trials 0-99 of C11's sweep.
+
+    At a robust equilibrium each user's powers are the classical best
+    response, by the bisection oracle, on its own worst-case channel in the
+    uncertainty ball (conftest.adversarial_channels), for every converged
+    robust solve at delta > 0. The bound, 10 * tol, is the solve's own
+    residual bound.
+    """
+    start = time.time()
+    per_delta, _ = c11_sweep
+    trials, Q, N = 100, C11_GEN.Q, C11_GEN.N
+    cfg = experiment.default_game_config(Q, N)
+    bound = 10 * C11_OPTS.tol
+    largest, rows, capped = 0.0, 0, 0
+    for t in range(trials):
+        true_ch = generate_channels(
+            replace(C11_GEN, seed=experiment._spawn_seed(C11_GEN.seed, t)))
+        for d in C11_DELTAS[1:]:
+            robust = per_delta[d][3 * t]
+            assert (robust.trial, robust.kind) == (t, "robust")
+            if not robust.converged:
+                capped += 1
+                continue
+            nominal_ch, eps = perturb_channels(true_ch, UncertaintySpec(
+                delta=d, seed=experiment._spawn_seed(C11_U_SEED, t)))
+            p = robust.profile
+            for q in range(Q):
+                F = adversarial_channels(nominal_ch.F, p, q, eps[q])
+                classical = classical_best_response(F, nominal_ch.sigma2, p, q, cfg.P[q],
+                                                    cfg.pmax[q])
+                largest = max(largest, float(np.abs(p[q] - classical).max()))
+                rows += 1
+    report(
+        "C11 robust equilibria are classical on their adversarial channels",
+        largest <= bound and rows >= 0.9 * Q * trials * len(C11_DELTAS[1:]),
+        f"(largest gap {largest:.2g} over {rows} user rows, bound {bound:.0e}; "
+        f"{capped} capped solves skipped; {time.time() - start:.0f}s)",
     )
 
 

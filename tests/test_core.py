@@ -28,7 +28,7 @@ from rategame import (
     user_rate,
     worst_case_interference,
 )
-from rategame.core import format_value, interference_level, write_csv
+from rategame.core import ALL_USERS, format_value, interference_level, write_csv
 from rategame.experiment import ChannelGenSpec, generate_channels
 from rategame.metrics import social_optimum_bruteforce
 from rategame.twouser import (AntiSymSystem, antisym_channels, antisym_config, antisym_profile,
@@ -133,6 +133,53 @@ class TestWorstCaseInterference:
             if eps > 0:
                 phi = phi + eps * np.sqrt(np.maximum((p * p).sum(axis=0) - p[q] * p[q], 0.0))
             assert interference_level(F, sigma2, eps, p, q).tobytes() == phi.tobytes()
+
+    # The robust term subtracts each row's own square from the sum of all
+    # squares and clamps nothing at 0: a sum of nonnegative terms rounds to at
+    # least each of them in any order, numpy's pairwise one (N = 1, where the
+    # user axis is contiguous) and its user-by-user one (wider rows) alike,
+    # and x - x is +0.0. Squares here underflow to 0 and overflow to inf.
+    @pytest.mark.parametrize("N", [1, 2, 5, 64])
+    def test_robust_radicand_is_never_negative(self, N):
+        rng = np.random.default_rng([33, N])
+        checked = 0
+        for Q in range(1, 17):
+            for _ in range(max(2, 128 // N)):
+                B = int(rng.integers(1, Q + 1))
+                views = 10.0 ** rng.uniform(-170, 170, (B, Q, N)) * rng.random((B, Q, N))
+                views[rng.random((B, Q)) < 0.2] = 0.0  # users silent on every bin
+                qs = rng.integers(0, Q, B)
+                p = views[0]
+                with np.errstate(all="ignore"):
+                    squares = p * p
+                    total = np.add.reduce(squares, -2)
+                    stacked = views * views
+                    radicands = [total - squares[q] for q in range(Q)]  # one user
+                    radicands.append(total - squares)  # ALL_USERS
+                    radicands.append(np.add.reduce(stacked, -2) - stacked[np.arange(B), qs])
+                    for radicand in radicands:
+                        assert not (radicand < 0).any()
+                        assert not np.signbit(radicand[radicand == 0]).any()
+                        checked += radicand.size
+                    # and the kernel's bits are those of the clamped formula
+                    F = 1e-3 * rng.random((Q, Q, N))
+                    F[np.arange(Q), np.arange(Q)] = 0.0
+                    sigma2, eps = rng.random((Q, N)), rng.uniform(0.01, 2.0, Q)
+                    clamped = [np.sqrt(np.maximum(r, 0.0)) for r in radicands]
+                    for q in range(Q):
+                        expected = interference_level(F, sigma2, 0.0, p, q)
+                        expected += eps[q] * clamped[q]
+                        assert (interference_level(F, sigma2, eps[q], p, q).tobytes()
+                                == expected.tobytes())
+                    expected = interference_level(F, sigma2, 0 * eps, p, ALL_USERS)
+                    expected += eps[:, None] * clamped[Q]
+                    assert (interference_level(F, sigma2, eps, p, ALL_USERS).tobytes()
+                            == expected.tobytes())
+                    expected = interference_level(F, sigma2, 0 * eps[qs], views, qs)
+                    expected += eps[qs, None] * clamped[Q + 1]
+                    assert (interference_level(F, sigma2, eps[qs], views, qs).tobytes()
+                            == expected.tobytes())
+        assert checked > 20_000
 
 
 class TestUserRate:

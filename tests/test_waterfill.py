@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -932,3 +933,48 @@ class TestOpensPass:
         assert rows > 100
         assert all(level is None for level in crossings)
         assert (crossings == []) == (bin_rank == "lowest")
+
+
+class TestNonFiniteLevels:
+    """fill_powers refuses a non-finite phi before any sweep, from the ends it already reads."""
+
+    @pytest.mark.parametrize("N", [1, 16, 1024])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_refused_before_any_sweep(self, full_sweeps, N, bad):
+        rng = np.random.default_rng([33, N])
+        pmax = np.full((3, N), 2.0)
+        for k in sorted({0, N // 2, N - 1}):
+            levels = rng.uniform(0.0, 1.0, (3, N))
+            levels[0] = 1e300  # a row that would fail in its own sweep: it dwarfs the masks
+            levels[1, k] = bad
+            with np.errstate(all="raise"):
+                with pytest.raises(DomainError, match="^phi and pmax must be finite$"):
+                    fill_powers(levels[1], 1.0, pmax[1])
+                with pytest.raises(DomainError, match="^phi and pmax must be finite$"):
+                    fill_powers(levels, [1.0, 1.0, 1.0], pmax)
+        assert full_sweeps == []
+
+    @pytest.mark.parametrize("N", [1, 16, 1024])
+    def test_finite_levels_whose_closes_overflow_take_their_sweep(self, full_sweeps, N):
+        # 1e308 + 8e307 overflows: the row warns as its own sweep does, and
+        # raises its error, that the fill jumps past P
+        rng = np.random.default_rng([34, N])
+        levels = rng.uniform(0.0, 1.0, (3, N))
+        levels[1] = 1e308
+        pmax = np.full((3, N), 2.0)
+        pmax[1] = 8e307
+
+        def warned(call):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                raised = outcome(call)
+            return raised, [str(w.message) for w in caught]
+
+        own = warned(lambda: [FULL_SWEEP(np.concatenate((levels[1], levels[1] + pmax[1])), 1.0)])
+        assert own[0] is NumericalError and "overflow encountered in add" in own[1]
+        for call in (lambda: fill_powers(levels[1], 1.0, pmax[1]),
+                     lambda: fill_powers(levels, [1.0, 1.0, 1.0], pmax)):
+            before = len(full_sweeps)
+            assert warned(call) == own
+            assert len(full_sweeps) - before == 1
+            assert full_sweeps[-1].tolist() == levels[1].tolist()
