@@ -8,7 +8,8 @@ by convention. Rates are natural-log (nats).
 
 All types are immutable after construction and validated at construction.
 Operations may assume valid inputs and are pure functions, except
-solver.solve, which keeps its latest result.
+solver.solve, which keeps its latest result and returns it to a call with
+the same channel, config and start objects.
 """
 
 from __future__ import annotations

@@ -129,20 +129,20 @@ def perturb_channels(true_ch: ChannelSet, u: UncertaintySpec):
     which guarantees the true coefficients lie within eps_q of the nominal
     ones in per-bin Euclidean norm: ||true - nominal||(k) <= (delta/2)
     ||true(k)|| and ||true(k)|| <= ||nominal(k)|| / (1 - delta/2).
+    At delta 0 the nominal channels are the true ones: true_ch itself is
+    returned, with zero bounds, and nothing is drawn.
     """
     Q, N = true_ch.Q, true_ch.N
+    if u.delta == 0:
+        return true_ch, np.zeros(Q)
     rng = np.random.default_rng(u.seed)
     e = u.delta * rng.uniform(-0.5, 0.5, size=(Q, Q, N))
     F_nom = true_ch.F * (1.0 + e)  # the diagonal stays 0: 1 + e > 0 for delta < 1
-    nominal = ChannelSet(F=F_nom, sigma2=true_ch.sigma2)
-
-    eps = np.zeros(Q)
-    if u.delta > 0:
-        factor = (u.delta / 2.0) / (1.0 - u.delta / 2.0)
-        # r != q only: a zero diagonal in the sum would reorder numpy's pairwise sum at N = 1
-        cross = F_nom.transpose(1, 0, 2)[~np.eye(Q, dtype=bool)].reshape(Q, Q - 1, N)
-        eps = factor * np.sqrt((cross * cross).sum(axis=1)).max(axis=1)
-    return nominal, eps
+    factor = (u.delta / 2.0) / (1.0 - u.delta / 2.0)
+    # r != q only: a zero diagonal in the sum would reorder numpy's pairwise sum at N = 1
+    cross = F_nom.transpose(1, 0, 2)[~np.eye(Q, dtype=bool)].reshape(Q, Q - 1, N)
+    eps = factor * np.sqrt((cross * cross).sum(axis=1)).max(axis=1)
+    return ChannelSet(F=F_nom, sigma2=true_ch.sigma2), eps
 
 
 def _spawn_seed(base: int, trial: int) -> np.random.SeedSequence:
@@ -161,14 +161,18 @@ def _sweep_trial(gen, uncertainty, cfg_template, schedule, opts, trial):
 
     The perfect game does not depend on delta: it is solved once, after the
     first width's robust and nominal games, and its row is reused at every width.
+    Every game starts from one uniform profile, and every game without
+    uncertainty shares one eps-0 config. At delta 0 the robust and nominal
+    games so get the perfect game's channels, config and start objects
+    themselves, and `solve` runs that game once for all three.
     """
     true_ch = generate_channels(replace(gen, seed=_spawn_seed(gen.seed, trial)))
-    zeros = np.zeros(gen.Q)
+    certain = GameConfig(P=cfg_template.P, pmax=cfg_template.pmax, eps=np.zeros(gen.Q))
+    start = default_initial_profile(true_ch, certain)
 
-    def game(kind, ch, eps):
-        cfg = GameConfig(P=cfg_template.P, pmax=cfg_template.pmax, eps=eps)
+    def game(kind, ch, cfg):
         report = build_report(ch, cfg)
-        result = solve(ch, cfg, default_initial_profile(ch, cfg), schedule, opts)
+        result = solve(ch, cfg, start, schedule, opts)
         return dict(kind=kind, profile=result.profile.p,
                     sum_rate_true=sum_rate(true_ch, result.profile),
                     occupancy=occupancy_counts(result.profile, cfg.P),
@@ -178,8 +182,9 @@ def _sweep_trial(gen, uncertainty, cfg_template, schedule, opts, trial):
     per_width, perfect = [], None
     for u in uncertainty:
         nominal_ch, eps = perturb_channels(true_ch, replace(u, seed=_spawn_seed(u.seed, trial)))
-        rows = [game("robust", nominal_ch, eps), game("nominal", nominal_ch, zeros)]
-        perfect = perfect or game("perfect", true_ch, zeros)
+        robust_cfg = replace(certain, eps=eps) if eps.any() else certain
+        rows = [game("robust", nominal_ch, robust_cfg), game("nominal", nominal_ch, certain)]
+        perfect = perfect or game("perfect", true_ch, certain)
         rows.append(perfect)
         included = all(r["converged"] for r in rows)
         per_width.append([TrialRecord(trial=trial, delta=u.delta, included=included, **r)

@@ -134,29 +134,11 @@ def _round_views(schedule, p, ring, slot, rnd, rng):
     return ((qs, ring[slot - ages, users]),) if len(qs) else ()
 
 
-# the inputs and result of the latest solve that recorded no trajectory; see
-# solve. One tuple, replaced whole, so that threads sharing it never pair one
+# weak references to the ch, cfg and initial of the latest solve that
+# recorded no trajectory, then its schedule, options and result; see solve.
+# One tuple, replaced whole, so that threads sharing it never pair one
 # solve's inputs with another's result.
 _latest = None
-
-
-def _same_bytes(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _latest_result(ch, cfg, initial, schedule, opts):
-    """The latest result if its solve had these inputs byte for byte, else None."""
-    if _latest is None:
-        return None
-    last_schedule, last_opts, arrays, ch_ref, result = _latest
-    if last_schedule != schedule or last_opts != opts:
-        return None
-    if not all(map(_same_bytes, arrays, (cfg.eps, cfg.P, ch.sigma2, cfg.pmax, initial.p))):
-        return None
-    last_ch = ch_ref()
-    if last_ch is None or not _same_bytes(last_ch.F, ch.F):
-        return None
-    return result
 
 
 def solve(
@@ -194,21 +176,24 @@ def solve(
     random_async solves (their rounds draw from the RNG) and solves that
     record a trajectory run every round.
 
-    A solve is a function of its inputs alone, so when they equal those of
-    the latest solve that recorded no trajectory, it returns that solve's
-    result and runs no round: at delta 0 a Monte-Carlo trial's robust and
-    nominal games are its perfect game byte for byte. Inputs are equal when
-    schedule and opts are equal and eps, P, sigma2, pmax, initial.p and F
-    have the same shapes and bytes (so -0.0 is not 0.0). A result's arrays
-    are read-only, so a hit returns the stored result itself. Only one
-    result is kept, and ch only by weak reference, so it keeps no channels alive.
+    A solve is a function of its inputs alone, so when it is handed the very
+    ch, cfg and initial objects of the latest solve that recorded no
+    trajectory, with an equal schedule and opts, it returns that solve's
+    result and runs no round: a Monte-Carlo trial hands its delta-0 robust,
+    nominal and perfect games one channel set, one config and one start.
+    Equal objects built anew run their own rounds. The inputs are immutable
+    and a result's arrays are read-only, so a hit returns the stored result
+    itself. Only one result is kept, and the inputs only by weak reference,
+    so the slot keeps no game alive and a dead input can never match.
     """
     global _latest
     check_dims(ch, cfg, initial)
     assert_feasible(cfg, initial)
-    latest = _latest_result(ch, cfg, initial, schedule, opts)
-    if latest is not None:
-        return latest
+    if _latest is not None:
+        *refs, last_schedule, last_opts, latest = _latest
+        if (all(ref() is x for ref, x in zip(refs, (ch, cfg, initial)))
+                and last_schedule == schedule and last_opts == opts):
+            return latest
 
     p = initial.p.copy()
     rng = np.random.default_rng(schedule.seed)
@@ -272,8 +257,7 @@ def solve(
         trajectory=trajectory,
     )
     if trajectory is None:
-        _latest = (schedule, opts, (cfg.eps, cfg.P, ch.sigma2, cfg.pmax, initial.p),
-                   weakref.ref(ch), result)
+        _latest = (*map(weakref.ref, (ch, cfg, initial)), schedule, opts, result)
     return result
 
 

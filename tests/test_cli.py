@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -535,14 +536,47 @@ def test_solve_option_matches_config_entry(tmp_path, capsys, option, key, file_v
     assert runs[0] == runs[1]
 
 
+# the solves of CI's Console script step: case -> (config text, extra argv)
+MASKS_CONFIG = "[generate]\nusers 4\nfreqs 16\n[game]\npmax * * 0.1\npmax 2 * 0.5\n"
+MIXED_EPS_CONFIG = ("[generate]\nusers 8\nfreqs 64\ncross_variance 0.1\n"
+                    "[game]\neps * 0.05\neps 2 0\n[solver]\nschedule ")
+CONSOLE_SOLVES = {
+    "solve_out_masks": (MASKS_CONFIG, []),
+    "solve_out_masks_gauss_seidel": (MASKS_CONFIG, ["--schedule", "gauss_seidel"]),
+    "solve_out_mixed_eps_jacobi": (MIXED_EPS_CONFIG + "jacobi\n", []),
+    "solve_out_random_async": (
+        MIXED_EPS_CONFIG + "random_async\nupdate_probability 0.5\nmax_staleness 2\n", []),
+}
+
+
+def readme_config():
+    """README's ini block: the lines between its ```ini fence and the next fence."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines(keepends=True)
+    start = lines.index("```ini\n") + 1
+    return "".join(lines[start:lines.index("```\n", start)])
+
+
 def _pinned_output(case, tmp_path, capsys):
     """Run one CLI case; return its exit code and the bytes it wrote."""
+    out = tmp_path / "out"
+    if case in CONSOLE_SOLVES:
+        text, argv = CONSOLE_SOLVES[case]
+        cfg = tmp_path / "console.cfg"
+        cfg.write_text(text)
+        return main(["solve", str(cfg), "--out", str(out), *argv]), out.read_bytes()
+    if case == "trajectory_readme":
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(readme_config())
+        return main(["solve", str(cfg), "--trajectory", str(out)]), out.read_bytes()
+    if case == "two_user_readme":
+        code = main(["two-user", "--sigma2", "0.1", "--alpha", "0.2", "--m", "2",
+                     "--eps-grid", "0:0.1:0.025", "--out", str(out)])
+        return code, out.read_bytes()
     if case.endswith("fig1"):
         cfg = write_fig1(tmp_path, eps=0.1)
     else:
         cfg = tmp_path / "gen.cfg"
         cfg.write_text(GENERATE_CONFIG)
-    out = tmp_path / "out"
     if case.startswith("solve_out"):
         code = main(["solve", str(cfg), "--out", str(out)])
         return code, out.read_bytes()
@@ -587,6 +621,22 @@ def _pinned_output(case, tmp_path, capsys):
      "248e2f42f430d87c8cb550824c183e6729dc6b6a946c7afb2370da7fca3b1db8"),
     ("experiment_summary", 0,
      "9b69b0bb774c167fd5e5abae82e4b2641db361c838220db3826287d5bbecd94e"),
+    # the outputs CI's Console script step pins for the installed entry
+    # point: masks that bind below the water level (jacobi and gauss_seidel),
+    # a jacobi and a random_async game with one eps-0 user, README's
+    # recorded trajectory and README's two-user sweep
+    ("solve_out_masks", 0,
+     "053c03139965ff44083fa687f0a99d3979cfce5fd362e1121ad152f82388d756"),
+    ("solve_out_masks_gauss_seidel", 0,
+     "e7ab747a6b04678ec211087e46896ce2e4f57399122fcd6d0d069d6853d5e393"),
+    ("solve_out_mixed_eps_jacobi", 0,
+     "4e88241b5c6add123376e75fe6e86aa5eda6909540c5b232fee653b929b9fe3a"),
+    ("solve_out_random_async", 0,
+     "6831ae3761148997af1ad63363718f884f54dda279295370488530f45e4b650d"),
+    ("trajectory_readme", 0,
+     "7f8dd2348318b40b6eee0326a2131d33ad67af563502b26038466fd6769ba117"),
+    ("two_user_readme", 0,
+     "96878dcc936645239160a4edee9c14e360469c17a75fb73bb2a890ab8a543ba2"),
 ])
 def test_pinned_output_bytes(tmp_path, capsys, case, code, digest):
     got_code, data = _pinned_output(case, tmp_path, capsys)

@@ -109,6 +109,20 @@ class TestPerturbChannels:
         assert np.array_equal(nominal.F, ch.F)
         assert np.array_equal(eps, np.zeros(3))
 
+    def test_zero_delta_returns_the_true_channels(self):
+        # delta 0 draws nothing: true_ch itself comes back, with zero bounds,
+        # as F * (1 + 0 * e) would have given F's bytes anyway
+        ch = generate_channels(ChannelGenSpec(Q=3, N=8, seed=2))
+        nominal, eps = perturb_channels(ch, UncertaintySpec(delta=0.0, seed=3))
+        assert nominal is ch
+        assert eps.tobytes() == np.zeros(3).tobytes()
+        e = 0.0 * np.random.default_rng(3).uniform(-0.5, 0.5, size=(3, 3, 8))
+        assert (ch.F * (1.0 + e)).tobytes() == ch.F.tobytes()
+        # any delta > 0 gives new channels and positive bounds
+        nominal, eps = perturb_channels(ch, UncertaintySpec(delta=0.4, seed=3))
+        assert nominal is not ch and not np.array_equal(nominal.F, ch.F)
+        assert np.array_equal(nominal.sigma2, ch.sigma2) and np.all(eps > 0)
+
     def test_truth_always_inside_the_bound(self):
         # the derived bound must contain the true coefficients on every bin
         for seed in range(40):
@@ -329,6 +343,38 @@ class TestSweep:
         assert trial_rounds == sum(per_game[:solved])
         if solved == 1:
             assert per_game == per_game[:1] * 3
+
+    def test_sweep_rounds_are_those_of_its_distinct_games(self, monkeypatch):
+        # widths (0, 0.4): a trial runs its delta-0 game once for all three
+        # kinds (that game is its perfect game) and at 0.4 only the robust
+        # and nominal games; the perfect row of width 0 is reused at 0.4
+        rounds = [0]
+        original = solver._round_views
+
+        def counted(*args):
+            rounds[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_round_views", counted)
+        calls = self._count_calls(monkeypatch)
+        trials = 3
+        per_width = run_trials(self.C11_GEN, [self.C11_WIDTHS[0], self.C11_WIDTHS[2]],
+                               self.SCHEDULE, self.OPTS, trials=trials)
+        sweep_rounds = rounds[0]
+        assert len(calls["solve"]) == 5 * trials
+        distinct_rounds = 0
+        for t in range(trials):
+            zero, wide = calls["solve"][5 * t:5 * t + 3], calls["solve"][5 * t + 3:5 * t + 5]
+            assert all(result is zero[0][2] for _, _, result in zero)
+            for ch, game_cfg, result in [zero[0], *wide]:
+                rounds[0] = 0
+                fresh = solver.solve(ch, game_cfg, solver.default_initial_profile(ch, game_cfg),
+                                     self.SCHEDULE, self.OPTS)
+                assert rounds[0] > 0 and fresh.profile.p.tobytes() == result.profile.p.tobytes()
+                distinct_rounds += rounds[0]
+            perfect = [w[3 * t + KINDS.index("perfect")] for w in per_width]
+            assert perfect[1].profile is perfect[0].profile
+        assert sweep_rounds == distinct_rounds
 
     def test_capped_c11_solves_exit_their_cycle(self, best_response_calls):
         # trial 6's nominal solves at delta 0.4 and 0.6 hit max_iters; they

@@ -279,7 +279,7 @@ def nudged(arr, index, value=None):
 
 
 class TestLatestResult:
-    """solve returns its latest result for byte-equal inputs, and runs no round."""
+    """solve returns its latest result for the same input objects, and runs no round."""
 
     SCHEDULE = Schedule(kind="gauss_seidel")
     OPTS = SolverOptions(tol=1e-8, max_iters=1000)
@@ -308,16 +308,21 @@ class TestLatestResult:
         first = solve(ch, cfg, initial, self.SCHEDULE, self.OPTS)
         ran = rounds[0]
         assert ran > 0
-        # equal games built anew, not the same objects
-        again = solve(ChannelSet(F=ch.F, sigma2=ch.sigma2), replace(cfg),
-                      PowerProfile(initial.p), Schedule(kind="gauss_seidel"),
+        # the same game objects, with an equal schedule and options built anew
+        again = solve(ch, cfg, initial, Schedule(kind="gauss_seidel"),
                       SolverOptions(tol=1e-8, max_iters=1000))
         assert rounds[0] == ran
         assert again is first and again.trajectory is None
-        # and the shared result is the one a solve from an empty slot gives
-        monkeypatch.setattr(solver, "_latest", None)
-        assert_same_result(solve(ch, cfg, initial, self.SCHEDULE, self.OPTS), first)
-        assert rounds[0] == 2 * ran
+        # an equal input built anew misses, runs its own rounds and gives the same bits
+        primed = solver._latest
+        for game in [(ChannelSet(F=ch.F, sigma2=ch.sigma2), cfg, initial),
+                     (ch, replace(cfg), initial),
+                     (ch, cfg, PowerProfile(initial.p))]:
+            monkeypatch.setattr(solver, "_latest", primed)
+            rebuilt = solve(*game, self.SCHEDULE, self.OPTS)
+            assert rebuilt is not first
+            assert_same_result(rebuilt, first)
+        assert rounds[0] == 4 * ran
 
     @pytest.mark.parametrize("change", [
         lambda ch, cfg, p, s, o: (ChannelSet(F=nudged(ch.F, (1, 0, 2)), sigma2=ch.sigma2),
