@@ -86,6 +86,7 @@ class UncertaintySpec:
         if not (is_real(self.delta) and 0.0 <= self.delta < 1.0):
             raise DomainError("delta must lie in [0, 1)")
         _check_seed(self.seed)
+        object.__setattr__(self, "delta", float(self.delta))  # float32 math is single precision
 
 
 @dataclass(frozen=True)

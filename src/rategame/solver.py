@@ -92,7 +92,7 @@ def default_initial_profile(ch: ChannelSet, cfg: GameConfig) -> PowerProfile:
     """Uniform P_q/N allocation, projected per user to respect the masks."""
     check_dims(ch, cfg)
     levels = np.broadcast_to(-(cfg.P[:, None] / cfg.N), (cfg.Q, cfg.N))
-    return PowerProfile(fill_powers(levels, cfg.P.tolist(), cfg.pmax)[0])
+    return PowerProfile(fill_powers(levels, cfg.P, cfg.pmax)[0])
 
 
 def _residual(ch, cfg, p):
@@ -207,9 +207,7 @@ def solve(
     # anchors[j] is the (bytes, round) of the latest round divisible by 2**j
     anchors = {} if schedule.kind != "random_async" and trajectory is None else None
 
-    # P as Python floats, which the water-level sweep's scalar steps run
-    # faster on, in an array that every user selection indexes
-    F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps, cfg.P.astype(object), cfg.pmax
+    F, sigma2, eps, P, pmax = ch.F, ch.sigma2, cfg.eps, cfg.P, cfg.pmax
     converged = False
     last = opts.max_iters  # lowered to the cycle's matching round once one is proven
     for rnd in range(1, opts.max_iters + 1):

@@ -51,6 +51,8 @@ class AntiSymSystem:
             raise DomainError("sigma2 must be positive and finite")
         if not (is_real(self.eps) and 0 <= self.eps < np.inf):
             raise DomainError("eps must be nonnegative and finite")
+        for name in ("alpha", "m", "sigma2", "eps"):  # float32 math is single precision
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def denominator(self) -> float:
         return 1.0 - (self.m + 1.0) * self.alpha / 2.0 - self.eps

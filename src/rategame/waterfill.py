@@ -125,10 +125,10 @@ def _opens_first(low, c, top, P, n):
     The lowest close c must be at least low + P/n, a floor of the level: a
     lower c is a mask that binds, and the crossing would refuse the row. The
     span of the events, top - low, times 4 n**2 must be finite, so that no
-    array operation of the pass or of the full sweep overflows. Python
-    floats, which set no floating-point flag.
+    array operation of the pass or of the full sweep overflows. All are
+    Python floats (fill_powers converts P), which set no floating-point flag.
     """
-    return c >= low + float(P) / n and math.isfinite((top - low) * (4.0 * n * n))
+    return c >= low + P / n and math.isfinite((top - low) * (4.0 * n * n))
 
 
 def _opens_fill(b):
@@ -259,16 +259,18 @@ def fill_powers(phi, P, pmax):
 
     phi is one user's (N,) levels with its budget and mask row, or (Q, N)
     levels with Q budgets and the (Q, N) masks: one opens-first pass over
-    all rows, then the 2N-event sweep for each row it leaves. P and pmax come
-    from a GameConfig, so phi alone is checked, all of it before any sweep:
-    a row from its sorted ends, a stack from the row minima of phi and maxima
-    of phi + pmax, with a full scan only where one of those is not finite.
+    all rows, then the 2N-event sweep for each row it leaves. Budgets are
+    converted here alone: the search reads P, a real or reals of any type,
+    as Python floats. pmax comes from a GameConfig, so phi alone is checked,
+    all of it before any sweep: a row from its sorted ends, a stack from the
+    row minima of phi and maxima of phi + pmax, with a full scan only where
+    one of those is not finite.
     """
     if phi.ndim == 1:
-        mu = _level(phi, P, pmax)
+        mu = _level(phi, float(P), pmax)
         powers = np.subtract(mu, phi)
     else:
-        mu = _levels(phi, P, pmax)
+        mu = _levels(phi, np.asarray(P, dtype=float).tolist(), pmax)
         powers = np.subtract(mu[:, None], phi)
     np.maximum(powers, 0.0, out=powers)
     return np.minimum(powers, pmax, out=powers), mu
@@ -287,6 +289,7 @@ def best_response_powers(F, sigma2, eps, p, q, P, pmax):
     all of them before any sweep, so where several rows fail it raises the
     first failure of Phi (a floating-point error under np.errstate, then
     non-finite levels) and only then the first failing row's sweep error.
+    P goes to fill_powers as given, which reads it as Python floats.
     """
     return fill_powers(interference_level(F, sigma2, eps, p, q), P, pmax)
 
@@ -298,9 +301,7 @@ def block_norm(mat) -> float:
 
 def best_responses(ch: ChannelSet, cfg: GameConfig, p):
     """Best-response powers and water levels of every user against frozen p."""
-    return best_response_powers(
-        ch.F, ch.sigma2, cfg.eps, p, ALL_USERS, cfg.P.tolist(), cfg.pmax
-    )
+    return best_response_powers(ch.F, ch.sigma2, cfg.eps, p, ALL_USERS, cfg.P, cfg.pmax)
 
 
 def robust_best_response(ch: ChannelSet, cfg: GameConfig, profile: PowerProfile, q: int):
@@ -316,7 +317,7 @@ def random_feasible_profile(cfg: GameConfig, rng) -> PowerProfile:
     Gaussian draws centered on the uniform allocation, projected per user.
     """
     v = cfg.P[:, None] / cfg.N + rng.normal(0.0, cfg.P[:, None], (cfg.Q, cfg.N))
-    return PowerProfile(fill_powers(-v, cfg.P.tolist(), cfg.pmax)[0])
+    return PowerProfile(fill_powers(-v, cfg.P, cfg.pmax)[0])
 
 
 def _greedy_linear_max(coeff, P: float, pmax):

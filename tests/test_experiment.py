@@ -103,6 +103,17 @@ class TestPerturbChannels:
         with pytest.raises(DomainError, match=message):
             UncertaintySpec(**{"delta": 0.1, **fields})
 
+    def test_float32_delta_gives_the_bits_of_its_float_value(self):
+        # delta is stored as a Python float, so that a float32 delta does not
+        # form the bound's factor at single precision
+        ch = generate_channels(ChannelGenSpec(Q=3, N=8, seed=2))
+        for delta in (0.2, 0.45, 0.9):
+            single = UncertaintySpec(delta=np.float32(delta), seed=3)
+            double = UncertaintySpec(delta=float(np.float32(delta)), seed=3)
+            (n32, eps32), (n64, eps64) = (perturb_channels(ch, u) for u in (single, double))
+            assert n32.F.tobytes() == n64.F.tobytes() and eps32.tobytes() == eps64.tobytes()
+            assert type(single.delta) is float and single == double
+
     def test_zero_delta_identity(self):
         ch = generate_channels(ChannelGenSpec(Q=3, N=8, seed=2))
         nominal, eps = perturb_channels(ch, UncertaintySpec(delta=0.0, seed=3))

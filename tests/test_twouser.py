@@ -65,6 +65,21 @@ class TestInteriorSplit:
                         continue
                     assert p >= 0.5
 
+    def test_float32_fields_give_the_bits_of_their_float_values(self):
+        # the fields are stored as Python floats: at single precision a float32
+        # alpha would make interior_p give 0.5714285969734192
+        fields = ("alpha", "m", "sigma2", "eps")
+        assert interior_p(AntiSymSystem(alpha=np.float32(0.2), m=2.0, sigma2=0.1)) == (
+            interior_p(AntiSymSystem(alpha=float(np.float32(0.2)), m=2.0, sigma2=0.1))
+        ) == 0.5714285729490981
+        for values in [(0.2, 2.0, 0.1, 0.0), (0.1, 3.0, 0.5, 0.05), (0.25, 1.5, 2.0, 0.1)]:
+            single = AntiSymSystem(*map(np.float32, values))
+            double = AntiSymSystem(*(float(np.float32(v)) for v in values))
+            assert all(type(getattr(single, f)) is float for f in fields) and single == double
+            for closed_form in (interior_p, interior_dp_deps, antisym_sum_rate):
+                assert closed_form(single).hex() == closed_form(double).hex()
+            assert antisym_channels(single).F.tobytes() == antisym_channels(double).F.tobytes()
+
     def test_regime_error_nonpositive_denominator(self):
         for closed_form in (interior_p, interior_dp_deps):
             with pytest.raises(RegimeError):

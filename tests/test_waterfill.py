@@ -1,6 +1,7 @@
 import hashlib
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -978,3 +979,111 @@ class TestNonFiniteLevels:
             assert warned(call) == own
             assert len(full_sweeps) - before == 1
             assert full_sweeps[-1].tolist() == levels[1].tolist()
+
+
+def raw_entry_outcomes(phi, P, pmax):
+    """What find_water_level, waterfill_powers and project_to_simplex give for the budget P."""
+    return [outcome(lambda: (find_water_level(phi, P, pmax),)),
+            outcome(lambda: waterfill_powers(phi, P, pmax)),
+            outcome(lambda: (project_to_simplex(phi, P, pmax),))]
+
+
+def budget_spellings(P):
+    """Budgets P as a config's float64 array, an object array of Python floats and a list,
+    then as a float32 array where every value is float32-exact."""
+    P = np.asarray(P, dtype=float)
+    spellings = [P, P.astype(object), P.tolist()]
+    with np.errstate(over="ignore"):
+        single = P.astype(np.float32)
+    return spellings + [single] if np.array_equal(single, P) else spellings
+
+
+def float32_exact(P):
+    """P rounded to float32 and held as float64."""
+    return np.asarray(P, dtype=np.float32).astype(float)
+
+
+def selected(P, qs):
+    """The budgets of the users qs, in P's own spelling."""
+    return P[qs] if isinstance(P, np.ndarray) else [P[q] for q in qs.tolist()]
+
+
+class TestBudgetSpellings:
+    """A budget of any real type gives the bits of its float value: fill_powers alone converts it."""
+
+    def test_float32_budgets_give_the_float_levels(self):
+        # a step to the float32 itself runs at single precision: the first
+        # would raise NumericalError, the second give 0.5333333611488342
+        assert find_water_level([0.3, 0.1], np.float32(1.0), [1.0, 1.0]) == 0.7
+        mu = find_water_level([0.1, 0.2, 0.3], np.float32(1.0), [2.0, 2.0, 2.0])
+        assert mu == 0.5333333333333333 and type(mu) is float
+
+    @pytest.mark.parametrize("seed, typed", enumerate([np.float32, np.float16, np.float64, int,
+                                                       Fraction]),
+                             ids=["float32", "float16", "float64", "int", "fraction"])
+    def test_raw_entries_give_the_bits_of_the_float_budget(self, seed, typed):
+        rng = np.random.default_rng([35, seed])
+        filled = 0
+        for case in range(300):
+            N = int(rng.integers(1, 40))
+            phi = rng.exponential(size=N) * 10.0 ** rng.uniform(-2, 1, N)
+            pmax = rng.uniform(0.5, 3.0, N) + 4.0 / N
+            if typed is int:
+                P = int(rng.integers(1, int(pmax.sum())))
+            elif typed is Fraction and case % 2:  # a rational no float holds
+                P = Fraction(int(rng.integers(1, 7 * int(pmax.sum()))), 7)
+            else:
+                P = typed(rng.uniform(0.05, 0.95) * pmax.sum())
+            expected = raw_entry_outcomes(phi, float(P), pmax)
+            assert raw_entry_outcomes(phi, P, pmax) == expected
+            filled += all(isinstance(x, list) for x in expected)
+        assert filled > 250
+
+    def test_stacks_and_rows_read_every_spelling_alike(self):
+        rng = np.random.default_rng(36)
+        reached = {"float32": 0, "raised": 0}
+        for _, levels, P, pmax in opens_cases(rng):
+            for budgets in (P, float32_exact(P)):
+                spellings = budget_spellings(budgets)
+                reached["float32"] += len(spellings) == 4
+                expected, *others = [outcome(lambda: fill_powers(levels, spelled, pmax))
+                                     for spelled in spellings]
+                assert others == [expected] * len(others)
+                reached["raised"] += not isinstance(expected, list)
+                for row, mask, *row_budgets in zip(levels, pmax, *spellings):
+                    expected, *others = [outcome(lambda: fill_powers(row, spelled, mask))
+                                         for spelled in row_budgets]
+                    assert others == [expected] * len(others)
+        assert reached["float32"] >= 540 and reached["raised"] > 10
+
+    @pytest.mark.parametrize("eps", ["zero", "uniform", "mixed"])
+    def test_best_responses_read_every_spelling_alike(self, eps):
+        rng = np.random.default_rng([37, len(eps)])
+        games = [wide_range_game(rng, int(rng.integers(1, 9)), int(rng.integers(1, 70)), eps)
+                 for _ in range(40)]
+        F = np.full((3, 3, 4), 0.3)
+        F[np.arange(3), np.arange(3)] = 0.0
+        pmax = np.ones((3, 4))
+        pmax[1] = 1e-300  # user 1's masks cannot take its budget: its sweep raises
+        games.append((F, np.ones((3, 4)), np.array([0.0, 0.0, 0.05]), np.full((3, 4), 0.25),
+                      [1.0, 1.0, 1.0], pmax))
+        raised = 0
+        for F, sigma2, eps_q, p, P, pmax in games:
+            Q = len(p)
+            qs = rng.permutation(Q)[:int(rng.integers(1, Q + 1))]
+            views = stale_views(rng, p, qs)
+            calls = [
+                lambda P: [x for q in range(Q)
+                           for x in best_response_powers(F, sigma2, eps_q[q], p, q, P[q], pmax[q])],
+                lambda P: best_response_powers(F, sigma2, eps_q, p, ALL_USERS, P, pmax),
+                lambda P: best_response_powers(F, sigma2, eps_q[qs], views, qs, selected(P, qs),
+                                               pmax[qs]),
+            ]
+            for budgets in (P, float32_exact(P)):
+                spellings = budget_spellings(budgets)
+                assert len(spellings) == 4 or budgets is P
+                for call in calls:
+                    expected, *others = [outcome(lambda: call(spelled)) for spelled in spellings]
+                    assert others == [expected] * len(others)
+                    raised += not isinstance(expected, list)
+        assert raised >= 2
